@@ -2,10 +2,12 @@
 
 Commands parse one ideal, run the requested analysis, and emit a report in
 one of three formats: a human-readable table, a canonical JSON document, or
-a flat CSV table for spreadsheets.  Reports embed the tool version and an
-echo of the mathematical configuration; execution details such as the jobs
-count are deliberately left out so identical inputs produce byte-identical
-reports at any parallelism degree.
+a flat CSV table for spreadsheets.  Each command returns its report body and
+the tables for the other two formats; one renderer builds the requested
+format.  Reports embed the tool version and an echo of the mathematical
+configuration; execution details are deliberately left out so identical
+inputs produce byte-identical reports.  Commands run serially: ``--jobs`` is
+accepted for compatibility and ignored, and ``MONOFILT_JOBS`` is not read.
 
 Exit codes: 0 success, 1 bad input or an infeasible request, 2 internal
 certificate failure (an emitted filtration failed re-validation).
@@ -17,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
@@ -55,7 +56,7 @@ def _add_common(sub, *, nmax_default: int):
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument("--format", choices=_FORMATS, default="human")
     sub.add_argument("--jobs", type=int, default=None,
-                     help="parallelism degree (default: MONOFILT_JOBS or 1)")
+                     help="accepted for compatibility and ignored; commands run serially")
 
 
 def build_parser() -> _Parser:
@@ -102,13 +103,6 @@ def _load_ideal(args):
     return ctx, I
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("MONOFILT_JOBS", "")
-    return max(1, int(env)) if env.isdigit() and env else 1
-
-
 def _config_echo(args, ctx, I) -> dict:
     echo = {
         "vars": list(ctx.variable_names),
@@ -120,15 +114,6 @@ def _config_echo(args, ctx, I) -> dict:
     if getattr(args, "mode", None) is not None:
         echo["mode"] = args.mode
     return echo
-
-
-def _envelope(command: str, config: dict, body: dict) -> dict:
-    return {
-        "tool": {"name": "monofilt", "version": __version__},
-        "command": command,
-        "config": config,
-        "report": body,
-    }
 
 
 def _emit(args, text: str):
@@ -147,33 +132,49 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
+def _run(handler, args) -> int:
+    """Run one command and emit its report in the requested format.
+
+    ``handler(args, ctx, I)`` returns the report body, a thunk for the CSV
+    ``(header, rows)`` and a thunk for the human-readable lines; only the
+    requested format is built.
+    """
+    ctx, I = _load_ideal(args)
+    body, table, human = handler(args, ctx, I)
+    if args.format == "json":
+        doc = {
+            "tool": {"name": "monofilt", "version": __version__},
+            "command": args.command,
+            "config": _config_echo(args, ctx, I),
+            "report": body,
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(*table())
+    else:
+        text = "\n".join(human()) + "\n"
+    _emit(args, text)
+    return 0
+
+
 def _prime_label(names) -> str:
     return ",".join(names)
 
 
+def _prime_list(primes) -> str:
+    return " ".join("(" + _prime_label(p) + ")" for p in primes)
+
+
 # -- powers ------------------------------------------------------------------
-
-
-def _powers_body(I, args, mode: str, jobs: int) -> dict:
-    report = powers_report(
-        I,
-        args.nmax,
-        mode,
-        window=args.window,
-        order_max=args.order_max,
-        jobs=jobs,
-    )
-    return report.to_document()
 
 
 def _human_powers(doc: dict) -> list:
     lines = [f"mode: {doc['mode']}  n_max: {doc['n_max']}"]
     lines.append("  n  steps  fallback  primes")
     for row in doc["per_n"]:
-        primes = " ".join("(" + _prime_label(p) + ")" for p in row["primes"])
+        primes = _prime_list(row["primes"])
         lines.append(f"{row['n']:>3}  {row['steps']:>5}  {str(row['fallback']):<8}  {primes}")
-    union = " ".join("(" + _prime_label(p) + ")" for p in doc["primes_union"])
-    lines.append(f"prime factors across the sweep: {union}")
+    lines.append(f"prime factors across the sweep: {_prime_list(doc['primes_union'])}")
     lines.append(f"stabilization: {json.dumps(doc['stabilization'], sort_keys=True)}")
     for entry in doc["growth"]:
         exp = "insufficient data" if entry["exponent"] is None else f"{entry['exponent']:.3f}"
@@ -182,73 +183,61 @@ def _human_powers(doc: dict) -> list:
         lines.append(f"superficial: {json.dumps(doc['superficial'], sort_keys=True)}")
     return lines
 
-def cmd_powers(args) -> int:
-    ctx, I = _load_ideal(args)
-    jobs = _jobs(args)
-    if args.mode == "both":
-        body = {
-            "naive": _powers_body(I, args, "naive", jobs),
-            "theorem": _powers_body(I, args, "theorem", jobs),
-        }
-        flat = body["theorem"]
-    else:
-        body = _powers_body(I, args, args.mode, jobs)
-        flat = body
-    doc = _envelope("powers", _config_echo(args, ctx, I), body)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [
-            (row["n"], _prime_label(entry["prime"]), entry["multiplicity"])
-            for row in flat["per_n"]
-            for entry in row["ledger"]
-        ]
-        _emit(args, _csv_text(("n", "prime", "multiplicity"), rows))
-    else:
+
+def _ledger_table(doc: dict):
+    rows = [
+        (row["n"], _prime_label(entry["prime"]), entry["multiplicity"])
+        for row in doc["per_n"]
+        for entry in row["ledger"]
+    ]
+    return ("n", "prime", "multiplicity"), rows
+
+
+def cmd_powers(args, ctx, I):
+    modes = ("naive", "theorem") if args.mode == "both" else (args.mode,)
+    docs = {
+        mode: powers_report(
+            I, args.nmax, mode, window=args.window, order_max=args.order_max
+        ).to_document()
+        for mode in modes
+    }
+    body = docs if args.mode == "both" else docs[args.mode]
+
+    def human():
         lines = [f"monofilt {__version__} powers"]
-        if args.mode == "both":
-            for mode in ("naive", "theorem"):
-                lines.extend(_human_powers(body[mode]))
-        else:
-            lines.extend(_human_powers(body))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        for doc in docs.values():
+            lines.extend(_human_powers(doc))
+        return lines
+
+    # the CSV keeps the theorem table when both modes run
+    return body, lambda: _ledger_table(docs[modes[-1]]), human
 
 
 # -- ass ----------------------------------------------------------------------
 
 
-def cmd_ass(args) -> int:
-    ctx, I = _load_ideal(args)
-    report = ass_stability(I, args.nmax, window=args.window)
-    body = report.to_document()
-    doc = _envelope("ass", _config_echo(args, ctx, I), body)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [
-            (row["n"], _prime_label(p))
-            for row in body["per_n"]
-            for p in row["ass"]
-        ]
-        _emit(args, _csv_text(("n", "prime"), rows))
-    else:
+def cmd_ass(args, ctx, I):
+    body = ass_stability(I, args.nmax, window=args.window).to_document()
+
+    def human():
         lines = [f"monofilt {__version__} ass  n_max: {args.nmax}"]
         for row in body["per_n"]:
-            primes = " ".join("(" + _prime_label(p) + ")" for p in row["ass"])
-            lines.append(f"{row['n']:>3}  {primes}")
-        union = " ".join("(" + _prime_label(p) + ")" for p in body["union"])
-        lines.append(f"union: {union}")
+            lines.append(f"{row['n']:>3}  {_prime_list(row['ass'])}")
+        lines.append(f"union: {_prime_list(body['union'])}")
         lines.append(f"stability onset: {body['onset']}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return lines
+
+    def table():
+        rows = [(row["n"], _prime_label(p)) for row in body["per_n"] for p in row["ass"]]
+        return ("n", "prime"), rows
+
+    return body, table, human
 
 
 # -- superficial ---------------------------------------------------------------
 
 
-def cmd_superficial(args) -> int:
-    ctx, I = _load_ideal(args)
+def cmd_superficial(args, ctx, I):
     module = CyclicFilteredModule(zero_ideal(ctx), I)
     cert = find_superficial(module, order_max=args.order_max, n_max=args.nmax)
     if cert is None:
@@ -256,45 +245,32 @@ def cmd_superficial(args) -> int:
             "found": False,
             "search": {"order_max": args.order_max, "c_max": 6, "n_max": args.nmax},
         }
+        table = (("found",), [("false",)])
     else:
-        body = {"found": True, "certificate": cert.serialize(ctx)}
-    doc = _envelope("superficial", _config_echo(args, ctx, I), body)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        if cert is None:
-            _emit(args, _csv_text(("found",), [("false",)]))
-        else:
-            c = cert.serialize(ctx)
-            _emit(
-                args,
-                _csv_text(
-                    ("element", "order", "c", "colon_threshold", "verified_to"),
-                    [(c["element"], c["order"], c["c"], c["colon_threshold"], c["verified_to"])],
-                ),
-            )
-    else:
-        lines = [f"monofilt {__version__} superficial"]
-        lines.append(json.dumps(body, indent=2, sort_keys=True))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        c = cert.serialize(ctx)
+        body = {"found": True, "certificate": c}
+        table = (
+            ("element", "order", "c", "colon_threshold", "verified_to"),
+            [(c["element"], c["order"], c["c"], c["colon_threshold"], c["verified_to"])],
+        )
+
+    def human():
+        return [f"monofilt {__version__} superficial", json.dumps(body, indent=2, sort_keys=True)]
+
+    return body, lambda: table, human
 
 
 # -- closure -------------------------------------------------------------------
 
 
-def cmd_closure(args) -> int:
-    ctx, I = _load_ideal(args)
-    jobs = _jobs(args)
+def cmd_closure(args, ctx, I):
     poly = newton_polyhedron(I)
     closure_gens = {
         n: integral_closure_power(I, n).generator_strings() for n in range(1, args.nmax + 1)
     }
     exponent = noetherian_exponent(I, l_max=4, n_max=min(args.nmax, 6))
     rees = rees_cofinality_constant(I, m_max=args.nmax)
-    report = closure_powers_report(
-        I, args.nmax, window=args.window, order_max=args.order_max, jobs=jobs
-    )
+    report = closure_powers_report(I, args.nmax, window=args.window, order_max=args.order_max)
     body = {
         "polyhedron": poly.serialize(),
         "closures": [{"n": n, "generators": gens} for n, gens in sorted(closure_gens.items())],
@@ -302,17 +278,8 @@ def cmd_closure(args) -> int:
         "rees_cofinality_constant": rees,
         "powers": report.to_document(),
     }
-    doc = _envelope("closure", _config_echo(args, ctx, I), body)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [
-            (row["n"], _prime_label(entry["prime"]), entry["multiplicity"])
-            for row in body["powers"]["per_n"]
-            for entry in row["ledger"]
-        ]
-        _emit(args, _csv_text(("n", "prime", "multiplicity"), rows))
-    else:
+
+    def human():
         lines = [f"monofilt {__version__} closure  n_max: {args.nmax}"]
         lines.append("polyhedron: " + json.dumps(body["polyhedron"], sort_keys=True))
         for row in body["closures"]:
@@ -320,34 +287,26 @@ def cmd_closure(args) -> int:
         lines.append(f"noetherian exponent: {exponent.exponent}")
         lines.append(f"rees cofinality constant: {rees}")
         lines.extend(_human_powers(body["powers"]))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return lines
+
+    return body, lambda: _ledger_table(body["powers"]), human
 
 
 # -- epsilon -------------------------------------------------------------------
 
 
-def cmd_epsilon(args) -> int:
-    ctx, I = _load_ideal(args)
-    jobs = _jobs(args)
+def cmd_epsilon(args, ctx, I):
     estimate = epsilon_estimate(I, args.nmax)
     check_to = min(args.nmax, 12)
-    report = powers_report(
-        I, check_to, "theorem", window=args.window, order_max=args.order_max, jobs=jobs
-    )
+    report = powers_report(I, check_to, "theorem", window=args.window, order_max=args.order_max)
     bound = filtration_bound_check(I, check_to, report)
     body = estimate.to_document()
     body["bound_check"] = [
         {"n": row.n, "length": row.length, "maximal_multiplicity": row.maximal_multiplicity, "ok": row.ok}
         for row in bound
     ]
-    doc = _envelope("epsilon", _config_echo(args, ctx, I), body)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [(row["n"], row["length"], row["normalized"]) for row in body["per_n"]]
-        _emit(args, _csv_text(("n", "length", "normalized"), rows))
-    else:
+
+    def human():
         lines = [f"monofilt {__version__} epsilon  n_max: {args.nmax}"]
         lines.append("  n  length  normalized")
         for row in body["per_n"]:
@@ -355,19 +314,20 @@ def cmd_epsilon(args) -> int:
         lines.append(f"estimate (window {body['window']}): {body['estimate']:.6f}")
         bad = [row for row in body["bound_check"] if not row["ok"]]
         lines.append(f"filtration bound check: {'pass' if not bad else 'FAIL ' + str(bad)}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return lines
+
+    def table():
+        rows = [(row["n"], row["length"], row["normalized"]) for row in body["per_n"]]
+        return ("n", "length", "normalized"), rows
+
+    return body, table, human
 
 
 # -- cm ------------------------------------------------------------------------
 
 
-def cmd_cm(args) -> int:
-    ctx, I = _load_ideal(args)
-    jobs = _jobs(args)
-    report = powers_report(
-        I, args.nmax, "theorem", window=args.window, order_max=args.order_max, jobs=jobs
-    )
+def cmd_cm(args, ctx, I):
+    report = powers_report(I, args.nmax, "theorem", window=args.window, order_max=args.order_max)
     cert = cm_certificate(I, report.filtrations)
     body = {
         "element": ctx.monomial_str(cert.element),
@@ -387,21 +347,20 @@ def cmd_cm(args) -> int:
         ],
         "all_pass": cert.all_pass(),
     }
-    doc = _envelope("cm", _config_echo(args, ctx, I), body)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [(row["n"], str(row["ok"]).lower()) for row in body["per_n"]]
-        _emit(args, _csv_text(("n", "pass"), rows))
-    else:
+
+    def human():
         lines = [f"monofilt {__version__} cm  n_max: {args.nmax}"]
         lines.append(f"inverted element: {body['element']}")
-        lines.append(f"minh: {' '.join('(' + _prime_label(p) + ')' for p in body['minh'])}")
+        lines.append(f"minh: {_prime_list(body['minh'])}")
         for row in body["per_n"]:
             lines.append(f"{row['n']:>3}  {'pass' if row['ok'] else 'FAIL'}")
         lines.append(f"all levels: {'pass' if body['all_pass'] else 'FAIL'}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return lines
+
+    def table():
+        return ("n", "pass"), [(row["n"], str(row["ok"]).lower()) for row in body["per_n"]]
+
+    return body, table, human
 
 
 _HANDLERS = {
@@ -421,12 +380,19 @@ def main(argv=None) -> int:
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 1
     try:
-        return _HANDLERS[args.command](args)
+        return _run(_HANDLERS[args.command], args)
     except CertificateError as err:
         print(f"monofilt: certificate failure: {err}", file=sys.stderr)
         return 2
     except (MonofiltError, InfeasibleError, OSError, ValueError) as err:
         print(f"monofilt: error: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"monofilt: error: recursion limit of {limit} frames exceeded", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("monofilt: error: memory limit of this process exceeded", file=sys.stderr)
         return 1
 
 

@@ -23,32 +23,14 @@ from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
 _MAX_HULL_VARS = 6
 
 
-def _rank(rows, d: int) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for col in range(d):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [x / lead for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _null_vector(rows, d: int) -> "list | None":
-    """Primitive integer spanning vector of the nullspace, when it is a line."""
+def _row_reduce(rows, d: int):
+    """Reduced row echelon form over the rationals, with its pivot columns."""
     mat = [[Fraction(v) for v in row] for row in rows]
     pivots = []
-    rank = 0
     for col in range(d):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
@@ -60,8 +42,17 @@ def _null_vector(rows, d: int) -> "list | None":
                 factor = mat[i][col]
                 mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
         pivots.append(col)
-        rank += 1
-    if rank != d - 1:
+    return mat, pivots
+
+
+def _rank(rows, d: int) -> int:
+    return len(_row_reduce(rows, d)[1])
+
+
+def _null_vector(rows, d: int) -> "list | None":
+    """Primitive integer spanning vector of the nullspace, when it is a line."""
+    mat, pivots = _row_reduce(rows, d)
+    if len(pivots) != d - 1:
         return None
     free = next(c for c in range(d) if c not in pivots)
     vec = [Fraction(0)] * d

@@ -38,9 +38,6 @@ class MonomialPrime:
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("prime support must be strictly increasing variable indices")
 
-    def contains_monomial(self, w: Monomial) -> bool:
-        return any(w[i] > 0 for i in self.support)
-
     def contains_prime(self, other: "MonomialPrime") -> bool:
         return set(other.support) <= set(self.support)
 

@@ -64,13 +64,6 @@ class ValidationResult:
         return self.ok
 
 
-def merge_ledgers(*ledgers: Counter) -> Counter:
-    total = Counter()
-    for led in ledgers:
-        total.update(led)
-    return total
-
-
 def _add_generator(gens: list, w: Monomial) -> list:
     """Antichain update for gens + (w); assumes no generator divides w."""
     return [g for g in gens if not mono_divides(w, g)] + [w]

@@ -35,7 +35,6 @@ import hashlib
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -300,7 +299,6 @@ def powers_report(
     order_max: int = 3,
     c_max: int = 6,
     verify_to: "int | None" = None,
-    jobs: int = 1,
     term_fn: "Callable[[int], MonomialIdeal] | None" = None,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
@@ -324,7 +322,9 @@ def powers_report(
         cert = engine.root_certificate()
     ts = engine.ts if engine is not None else TermSystem(I, term_fn)
 
-    def compute(n: int):
+    records = []
+    filtrations = {}
+    for n in range(1, n_max + 1):
         if engine is not None:
             filtration, fell_back = engine.filtration(n)
         else:
@@ -345,17 +345,9 @@ def powers_report(
             fallback=fell_back,
             steps=len(filtration.steps),
         )
-        return record, filtration
+        records.append(record)
+        filtrations[n] = filtration
 
-    levels = list(range(1, n_max + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, levels))
-    else:
-        results = [compute(n) for n in levels]
-
-    records = tuple(record for record, _ in results)
-    filtrations = {record.n: f for record, f in results}
     union = sorted({p for r in records for p in r.primes}, key=lambda p: p.support)
     max_period = cert.order if cert is not None else 1
     stabilization = detect_stabilization([r.primes for r in records], window, max_period)
@@ -379,7 +371,7 @@ def powers_report(
         mode=mode,
         n_max=n_max,
         window=window,
-        records=records,
+        records=tuple(records),
         primes_union=tuple(union),
         stabilization=stabilization,
         growth=tuple(growth),
@@ -420,6 +412,8 @@ def ass_stability(I: MonomialIdeal, n_max: int, window: int = 4) -> AssStability
     The onset is the first level of the maximal trailing run of constant Ass
     sets, reported only when the run covers at least ``window`` levels.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     ts = TermSystem(I)
@@ -428,10 +422,7 @@ def ass_stability(I: MonomialIdeal, n_max: int, window: int = 4) -> AssStability
         primes = tuple(sorted(associated_primes(ts.term(n)), key=lambda p: p.support))
         per_n.append((n, primes))
     union = sorted({p for _, primes in per_n for p in primes}, key=lambda p: p.support)
-    run = 1
-    while run < n_max and per_n[-run - 1][1] == per_n[-1][1]:
-        run += 1
-    onset = n_max - run + 1 if run >= window else None
+    onset = detect_stabilization([primes for _, primes in per_n], window, 0).get("onset")
     return AssStabilityReport(
         ctx=I.ctx,
         ideal=I,

@@ -169,9 +169,6 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.generators)
 
-    def equals(self, other: "MonomialIdeal") -> bool:
-        return self == other
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -356,9 +353,8 @@ def _parse_monomial(sc: _Scanner, ctx: RingContext) -> Monomial:
         return tuple(exps)
 
 
-def parse_ideal(text: str, ctx: RingContext) -> MonomialIdeal:
-    """Parse a comma-separated generator list such as ``x^2*y, y^3``."""
-    sc = _Scanner(text)
+def _parse_generators(sc: _Scanner, ctx: RingContext) -> MonomialIdeal:
+    """The comma-separated generator list that runs to the end of the input."""
     gens = [_parse_monomial(sc, ctx)]
     while sc.peek() == ",":
         sc.expect(",")
@@ -366,6 +362,11 @@ def parse_ideal(text: str, ctx: RingContext) -> MonomialIdeal:
     if not sc.at_end():
         raise IdealSyntaxError("unexpected trailing input", sc.pos)
     return ideal(ctx, gens)
+
+
+def parse_ideal(text: str, ctx: RingContext) -> MonomialIdeal:
+    """Parse a comma-separated generator list such as ``x^2*y, y^3``."""
+    return _parse_generators(_Scanner(text), ctx)
 
 
 def parse_problem(text: str) -> tuple:
@@ -391,10 +392,4 @@ def parse_problem(text: str) -> tuple:
     sc.expect(";")
     sc.expect("ideal")
     sc.expect(":")
-    gens = [_parse_monomial(sc, ctx)]
-    while sc.peek() == ",":
-        sc.expect(",")
-        gens.append(_parse_monomial(sc, ctx))
-    if not sc.at_end():
-        raise IdealSyntaxError("unexpected trailing input", sc.pos)
-    return ctx, ideal(ctx, gens)
+    return ctx, _parse_generators(sc, ctx)

@@ -218,6 +218,8 @@ def find_superficial(
     Returns None when no monomial candidate up to the given order verifies;
     callers fall back to the greedy filtration in that case.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     J, I = module.annihilator, module.filtration_ideal
     if I.is_unit() or I.is_zero():
         raise ValueError("the filtration ideal must be proper and nonzero")

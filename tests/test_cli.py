@@ -162,6 +162,31 @@ def test_jobs_env_default(tmp_path, monkeypatch):
     assert text == text2
 
 
+def test_nmax_below_one_rejected(tmp_path):
+    for command in ("ass", "superficial"):
+        for nmax in ("0", "-3"):
+            code, text = run(
+                tmp_path, command, "--ideal", IDEAL, "--nmax", nmax, "--window", "1"
+            )
+            assert code == 1, (command, nmax)
+            assert text == ""
+
+
+def test_resource_errors_exit_one(tmp_path, monkeypatch, capsys):
+    import monofilt.powers as powers_module
+
+    for error, words in ((RecursionError, "recursion limit"), (MemoryError, "memory limit")):
+        def exhausted(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(powers_module, "associated_primes", exhausted)
+        code, _ = run(tmp_path, "ass", "--ideal", IDEAL, "--nmax", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert words in err
+        assert "Traceback" not in err
+
+
 def test_human_format_runs(tmp_path):
     for command, extra in (
         ("powers", []),
@@ -174,3 +199,135 @@ def test_human_format_runs(tmp_path):
         code, text = run(tmp_path, command, "--ideal", IDEAL, "--nmax", "4", *extra)
         assert code == 0
         assert text.startswith("monofilt 0.1.0")
+
+
+# Exact csv and human texts on (x^2, x*y) at n_max 4, pinned so that any
+# change to the renderers shows up as a diff.
+_POWERS_HUMAN_THEOREM = """\
+mode: theorem  n_max: 4
+  n  steps  fallback  primes
+  1      2  False     (x) (x,y)
+  2      6  False     (x) (x,y)
+  3     12  False     (x) (x,y)
+  4     20  False     (x) (x,y)
+prime factors across the sweep: (x) (x,y)
+stabilization: {"kind": "stable", "onset": 1, "window": 4}
+growth (x): insufficient data [2 points]
+growth (x,y): insufficient data [2 points]
+superficial: {"c": 0, "colon_threshold": 1, "element": "x*y", "order": 1, "verified_to": 8}
+"""
+
+_POWERS_HUMAN_NAIVE = """\
+mode: naive  n_max: 4
+  n  steps  fallback  primes
+  1      2  False     (x) (x,y)
+  2      5  False     (x) (x,y)
+  3      9  False     (x) (x,y)
+  4     14  False     (x) (x,y)
+prime factors across the sweep: (x) (x,y)
+stabilization: {"kind": "stable", "onset": 1, "window": 4}
+growth (x): insufficient data [2 points]
+growth (x,y): insufficient data [2 points]
+"""
+
+_LEDGER_CSV = """\
+n,prime,multiplicity
+1,x,1
+1,"x,y",1
+2,x,2
+2,"x,y",4
+3,x,3
+3,"x,y",9
+4,x,4
+4,"x,y",16
+"""
+
+GOLDEN = {
+    ("powers", "csv"): _LEDGER_CSV,
+    ("powers", "human"): "monofilt 0.1.0 powers\n" + _POWERS_HUMAN_THEOREM,
+    ("ass", "csv"): 'n,prime\n1,x\n1,"x,y"\n2,x\n2,"x,y"\n3,x\n3,"x,y"\n4,x\n4,"x,y"\n',
+    ("ass", "human"): """\
+monofilt 0.1.0 ass  n_max: 4
+  1  (x) (x,y)
+  2  (x) (x,y)
+  3  (x) (x,y)
+  4  (x) (x,y)
+union: (x) (x,y)
+stability onset: 1
+""",
+    ("superficial", "csv"): "element,order,c,colon_threshold,verified_to\nx*y,1,0,1,4\n",
+    ("superficial", "human"): """\
+monofilt 0.1.0 superficial
+{
+  "certificate": {
+    "c": 0,
+    "colon_threshold": 1,
+    "element": "x*y",
+    "order": 1,
+    "verified_to": 4
+  },
+  "found": true
+}
+""",
+    ("closure", "csv"): _LEDGER_CSV,
+    ("closure", "human"): """\
+monofilt 0.1.0 closure  n_max: 4
+polyhedron: {"inequalities": [{"bound": 0, "coefficients": [0, 1]}, \
+{"bound": 1, "coefficients": [1, 0]}, {"bound": 2, "coefficients": [1, 1]}], \
+"vertices": [[1, 1], [2, 0]]}
+closure(I^1): (x^2, x*y)
+closure(I^2): (x^4, x^3*y, x^2*y^2)
+closure(I^3): (x^6, x^5*y, x^4*y^2, x^3*y^3)
+closure(I^4): (x^8, x^7*y, x^6*y^2, x^5*y^3, x^4*y^4)
+noetherian exponent: 1
+rees cofinality constant: 0
+""" + _POWERS_HUMAN_THEOREM,
+    ("epsilon", "csv"): "n,length,normalized\n1,1,2.0\n2,3,1.5\n3,6,1.333333333\n4,10,1.25\n",
+    ("epsilon", "human"): """\
+monofilt 0.1.0 epsilon  n_max: 4
+  n  length  normalized
+  1       1  2.000000
+  2       3  1.500000
+  3       6  1.333333
+  4      10  1.250000
+estimate (window 1): 1.250000
+filtration bound check: pass
+""",
+    ("cm", "csv"): "n,pass\n1,true\n2,true\n3,true\n4,true\n",
+    ("cm", "human"): """\
+monofilt 0.1.0 cm  n_max: 4
+inverted element: y
+minh: (x)
+  1  pass
+  2  pass
+  3  pass
+  4  pass
+all levels: pass
+""",
+}
+
+
+def test_golden_csv_and_human_texts(tmp_path):
+    for (command, fmt), expected in GOLDEN.items():
+        code, text = run(tmp_path, command, "--ideal", IDEAL, "--nmax", "4", "--format", fmt)
+        assert code == 0
+        assert text == expected, (command, fmt)
+
+
+def test_golden_powers_both_modes(tmp_path):
+    args = ("powers", "--mode", "both", "--ideal", IDEAL, "--nmax", "4", "--format")
+    code, text = run(tmp_path, *args, "csv")
+    assert code == 0
+    assert text == _LEDGER_CSV  # the CSV keeps the theorem table
+    code, text = run(tmp_path, *args, "human")
+    assert code == 0
+    assert text == "monofilt 0.1.0 powers\n" + _POWERS_HUMAN_NAIVE + _POWERS_HUMAN_THEOREM
+
+
+def test_golden_superficial_not_found_csv(tmp_path):
+    code, text = run(
+        tmp_path, "superficial", "--ideal", "vars: x,y ; ideal: x^2*y, x*y^2",
+        "--nmax", "4", "--format", "csv",
+    )
+    assert code == 0
+    assert text == "found\nfalse\n"

@@ -20,7 +20,6 @@ from monofilt import (
     validate,
     zero_ideal,
 )
-from monofilt.filtration import merge_ledgers
 from monofilt.ring import InfiniteLengthError
 
 _NAMES = ("x", "y", "z")
@@ -108,7 +107,7 @@ def test_glue_additivity(kxy):
     left = naive_prime_filtration(parse_ideal("x", kxy))
     right = naive_prime_filtration(parse_ideal("x", kxy))
     glued = glue(base, (1, 0), left, right)
-    assert glued.ledger() == merge_ledgers(left.ledger(), right.ledger())
+    assert glued.ledger() == left.ledger() + right.ledger()
 
 
 def test_localize_factors(kxy):
@@ -185,4 +184,4 @@ def test_glue_additivity_random(pair, wexp):
     right = naive_prime_filtration(B.add_monomial(w))
     glued = glue(B, w, left, right)
     assert validate(glued)
-    assert glued.ledger() == merge_ledgers(left.ledger(), right.ledger())
+    assert glued.ledger() == left.ledger() + right.ledger()

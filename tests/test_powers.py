@@ -140,13 +140,6 @@ def test_report_naive_mode(kxy):
     assert {p.support for p in rep.primes_union} == {(0,), (0, 1)}
 
 
-def test_report_jobs_deterministic(kxy):
-    I = parse_ideal("x^2, x*y", kxy)
-    a = powers_report(I, 8, "theorem", jobs=1)
-    b = powers_report(I, 8, "theorem", jobs=8)
-    assert a.to_document() == b.to_document()
-
-
 def test_glue_recurrence_on_engine(kxy):
     engine = FiltrationEngine(parse_ideal("x^2, x*y", kxy))
     for n in range(1, 9):
