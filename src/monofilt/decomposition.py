@@ -2,21 +2,24 @@
 
 Every associated prime of a monomial quotient is generated by a subset of the
 variables, so primes are represented by their variable support alone.  The
-decomposition is the classical splitting of a mixed generator into its pure
-parts; associated primes come back with certified witness monomials.
+associated primes come from one scan of the corner grid of the generators,
+which finds the grlex-least witness w with (J : w) prime for every prime
+support at once.  The decomposition is the classical splitting of a mixed
+generator into its pure parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import DegenerateIdealError, InfeasibleError
 from .ring import (
     Monomial,
     MonomialIdeal,
     RingContext,
-    box_monomials,
+    corner_axes,
+    grlex_key,
     ideal,
     mono_colon,
     mono_support,
@@ -87,9 +90,6 @@ class IrreducibleComponent:
             gens.append(tuple(e))
         return ideal(ctx, gens)
 
-    def radical(self) -> MonomialPrime:
-        return MonomialPrime(tuple(i for i, _ in self.bounds))
-
 
 def _is_pure_power_ideal(J: MonomialIdeal) -> bool:
     return all(len(mono_support(g)) <= 1 for g in J.generators)
@@ -151,35 +151,33 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple:
     return tuple(components)
 
 
-def _witness_for(J: MonomialIdeal, prime: MonomialPrime) -> Monomial:
-    """Grlex-least monomial w in the generator box with (J : w) = prime.
+def _witness_for(gens, d: int) -> dict:
+    """Map each prime colon support S of U to the grlex-least w with (U : w) = P_S.
 
-    The box suffices because a colon only sees exponents truncated at the
-    componentwise maximum of the generators.
+    ``gens`` is the antichain of U in d variables.  The scan covers the corner
+    grid only: for i outside S, lowering w_i to the largest generator exponent
+    g_i <= w_i, or to 0, keeps the colon equal to P_S; for i in S, w_i = g_i - 1
+    where g is the generator whose residue is x_i.  So every least witness has
+    its exponents on the axes of :func:`corner_axes`.
     """
-    gens = J.generators
-    for w in box_monomials(J.box()):
-        if colon_prime_support(gens, w) == prime.support:
-            return w
-    raise AssertionError(f"no witness found for {prime} in {J}")
+    found = {}
+    for w in sorted(product(*corner_axes(gens, d)), key=grlex_key):
+        supp = colon_prime_support(gens, w)
+        if supp is not None and supp not in found:
+            found[supp] = w
+    return found
 
 
 def associated_primes(J: MonomialIdeal) -> dict:
     """Associated primes of R/J with witness monomials, as a prime -> witness map.
 
-    The primes are the radicals of the irredundant irreducible components;
-    each witness w satisfies (J : w) = P exactly.
+    The primes are the prime colons (J : w), sorted by support; each witness
+    is the grlex-least w with (J : w) = P exactly.
     """
     if J.is_unit():
         raise DegenerateIdealError("R/J is zero for the unit ideal")
-    if J.is_zero():
-        zero = MonomialPrime(())
-        return {zero: J.ctx.unit_monomial()}
-    primes = sorted(
-        {comp.radical() for comp in irreducible_decomposition(J)},
-        key=lambda p: p.support,
-    )
-    return {p: _witness_for(J, p) for p in primes}
+    found = _witness_for(J.generators, J.ctx.num_vars)
+    return {MonomialPrime(s): found[s] for s in sorted(found)}
 
 
 def minimal_primes(J: MonomialIdeal) -> tuple:

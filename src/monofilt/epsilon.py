@@ -2,18 +2,19 @@
 
 The degree-zero local cohomology at the graded maximal ideal is realized as
 sat(J)/J, whose monomials all lie inside the generator box of J, so each
-length is a finite certified count.  The estimator normalizes by
-d! / n^d and takes the maximum over a trailing window as the limsup proxy.
+length is a finite certified count over the corner regions of J.  The
+estimator normalizes by d! / n^d and takes the maximum over a trailing window
+as the limsup proxy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime
-from .ring import MonomialIdeal, RingContext, ideal
+from .ring import MonomialIdeal, RingContext, corner_axes, corner_regions, ideal
 from .superficial import TermSystem
 
 
@@ -27,20 +28,21 @@ def h0_length(J: MonomialIdeal) -> int:
     Any monomial of sat(J) outside J has, in every variable, exponent
     strictly below that variable's maximum over the generators of J: a
     witness with a larger exponent would already be divisible by the
-    generator that eventually absorbs it.  The count scans that box.
+    generator that eventually absorbs it.  That box is the union of the
+    corner regions of J.  Every generator exponent of sat(J) is 0 or one of
+    J, so both memberships are constant on each region and are decided at
+    its least corner.
     """
     if J.is_unit():
         raise ValueError("R/J is the zero module")
-    if J.is_zero():
-        return 0
     saturated = J.saturation(_maximal_ideal(J.ctx))
     if saturated == J:
         return 0
-    count = 0
-    for e in _cartesian(*(range(b) for b in J.box())):
-        if saturated.contains(e) and not J.contains(e):
-            count += 1
-    return count
+    return sum(
+        volume
+        for corner, volume in corner_regions(corner_axes(J.generators, J.ctx.num_vars))
+        if saturated.contains(corner) and not J.contains(corner)
+    )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .decomposition import (
     MonomialPrime,
-    colon_prime_support,
+    _witness_for,
+    colon_prime_support,  # noqa: F401  bench/tracer.py counts cells through it
     dimension,
     minh,
     prime_avoidance_element,
@@ -23,7 +24,7 @@ from .errors import GluePreconditionError
 from .ring import (
     Monomial,
     MonomialIdeal,
-    box_monomials,
+    grlex_key,
     mono_colon,
     mono_divides,
     mono_mul,
@@ -72,43 +73,21 @@ def _add_generator(gens: list, w: Monomial) -> list:
 def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
     """Greedy prime filtration of R/J.
 
-    At each step, scan the generator box of J in grlex order for witnesses w
-    with (U : w) prime, prefer primes that are maximal under support
-    inclusion among the candidates, and take the grlex-least witness for
-    them.  Termination: each step strictly enlarges U inside a Noetherian
-    poset.
+    At each step, take the witness map of the chain ideal U (the grlex-least
+    w with (U : w) prime, for each prime support), keep the supports maximal
+    under inclusion, and adjoin the grlex-least of their witnesses.
+    Termination: each step strictly enlarges U inside a Noetherian poset.
     """
-    ctx = J.ctx
-    full_support = tuple(range(ctx.num_vars))
-    unit = ctx.unit_monomial()
-    cells = box_monomials(J.box())
+    d = J.ctx.num_vars
+    unit = J.ctx.unit_monomial()
     gens = list(J.generators)
     steps = []
     while gens != [unit]:
-        candidates = []
-        chosen = None
-        for w in cells:
-            supp = colon_prime_support(gens, w)
-            if supp is None:
-                continue
-            if supp == full_support:
-                # The maximal ideal dominates every other candidate prime.
-                chosen = (w, supp)
-                break
-            candidates.append((w, supp))
-        if chosen is None:
-            if not candidates:
-                raise AssertionError(f"no prime colon found for {gens}")
-            supports = {s for _, s in candidates}
-            maximal = {
-                s
-                for s in supports
-                if not any(t != s and set(s) < set(t) for t in supports)
-            }
-            chosen = next((w, s) for w, s in candidates if s in maximal)
-        w, supp = chosen
-        steps.append((w, MonomialPrime(supp)))
-        gens = _add_generator(gens, w)
+        found = _witness_for(gens, d)
+        maximal = [s for s in found if not any(set(s) < set(t) for t in found)]
+        supp = min(maximal, key=lambda s: grlex_key(found[s]))
+        steps.append((found[supp], MonomialPrime(supp)))
+        gens = _add_generator(gens, found[supp])
     return PrimeFiltration(J, tuple(steps))
 
 

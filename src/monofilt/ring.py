@@ -9,6 +9,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
@@ -207,15 +208,17 @@ class MonomialIdeal:
         return result
 
     def saturation(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Stable value of the chain self : other^k."""
+        """self : other^infinity, the intersection over generators b of other of self : b^infinity.
+
+        Colon by ever higher powers of b sets the exponents on the support of b to 0.
+        """
         if other.is_zero():
             raise ValueError("saturation by the zero ideal is undefined")
-        current = self
-        while True:
-            bigger = current.colon(other)
-            if bigger == current:
-                return current
-            current = bigger
+        result = unit_ideal(self.ctx)
+        for b in other.generators:
+            dropped = [tuple(0 if b[i] else v for i, v in enumerate(g)) for g in self.generators]
+            result = result.intersect(MonomialIdeal(self.ctx, minimal_generators(self.ctx, dropped)))
+        return result
 
     def radical(self) -> "MonomialIdeal":
         squarefree = [tuple(min(v, 1) for v in g) for g in self.generators]
@@ -226,27 +229,19 @@ class MonomialIdeal:
 
         Finite exactly when every variable appears as a pure power among the
         generators; otherwise :class:`InfiniteLengthError` identifies an
-        unbounded variable.
+        unbounded variable.  The count adds the volumes of the corner regions
+        whose least corner lies outside the ideal.
         """
-        d = self.ctx.num_vars
-        bounds = [None] * d
-        for g in self.generators:
-            supp = mono_support(g)
-            if len(supp) == 1:
-                i = supp[0]
-                if bounds[i] is None or g[i] < bounds[i]:
-                    bounds[i] = g[i]
-        for i, b in enumerate(bounds):
-            if b is None:
+        for i, name in enumerate(self.ctx.variable_names):
+            if not any(mono_support(g) == (i,) for g in self.generators):
                 raise InfiniteLengthError(
-                    f"R/ideal has infinite length: no pure power of "
-                    f"'{self.ctx.variable_names[i]}' among the generators"
+                    f"R/ideal has infinite length: no pure power of '{name}' among the generators"
                 )
-        count = 0
-        for e in _cartesian(*(range(b) for b in bounds)):
-            if not self.contains(e):
-                count += 1
-        return count
+        return sum(
+            volume
+            for corner, volume in corner_regions(corner_axes(self.generators, self.ctx.num_vars))
+            if not self.contains(corner)
+        )
 
     # -- presentation ------------------------------------------------------
 
@@ -276,6 +271,24 @@ def box_monomials(bounds: Monomial) -> list:
     """All monomials with exponents inside the inclusive box, grlex-sorted."""
     cells = _cartesian(*(range(b + 1) for b in bounds))
     return sorted(cells, key=grlex_key)
+
+
+def corner_axes(gens, d: int) -> tuple:
+    """Per variable i, the sorted exponents {0} | {g_i} | {g_i - 1} over the generators g.
+
+    Membership in the ideal is constant between consecutive axis values, and
+    the grid of these axes holds the grlex-least witness of every prime colon.
+    """
+    return tuple(
+        tuple(sorted({0} | {g[i] for g in gens} | {g[i] - 1 for g in gens if g[i]}))
+        for i in range(d)
+    )
+
+
+def corner_regions(axes):
+    """(least corner, volume) of each box between consecutive values on every axis."""
+    for spans in _cartesian(*(tuple(zip(a, a[1:])) for a in axes)):
+        yield tuple(lo for lo, _ in spans), math.prod(hi - lo for lo, hi in spans)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -156,12 +156,15 @@ def search_certificate(
     Candidates already lying in the annihilator act as zero on the module and
     are skipped.  A candidate is certified only when the defining condition
     holds for every c <= n <= verify_to and the colon identity holds on a
-    suffix of the verified range; otherwise the scan moves on.  Monomial
-    superficial elements need not exist, in which case the result is None.
+    suffix of the verified range; otherwise the scan moves on.  The condition
+    at n = c holds for every x, since x * (T(c) + J) lies in T(c + m) + J, so
+    c stops below verify_to and every certificate rests on a level n > c.
+    Monomial superficial elements need not exist, in which case the result is
+    None.
     """
     for m, x in _scan(ts, J, order_max):
         chosen_c = None
-        for c in range(0, c_max + 1):
+        for c in range(0, min(c_max, verify_to - 1) + 1):
             if all(
                 _defining_condition_holds(ts, J, x, m, c, n)
                 for n in range(c, verify_to + 1)

@@ -21,6 +21,11 @@ def box_points(bounds):
     return list(product(*(range(b + 1) for b in bounds)))
 
 
+def grlex(e):
+    """Graded order: lower degree first, then higher exponents on earlier variables."""
+    return (sum(e), tuple(-v for v in e))
+
+
 def merge_bounds(*bounds_list):
     return tuple(max(bs) for bs in zip(*bounds_list))
 
@@ -104,34 +109,40 @@ def saturation_predicate(A, B):
 
 
 def ass_primes_box(J: MonomialIdeal) -> set:
-    """Associated primes by scanning colon member sets for prime shape.
+    """Associated primes by scanning colon member sets for prime shape."""
+    return set(box_witnesses(J))
 
-    For each w in the generator box, the member set of (J : w) inside the box
-    is computed pointwise.  That set is a prime with support S exactly when
-    it coincides with the set of points touching S, with S read off the unit
-    vectors it contains.  Membership beyond the box truncates back into it.
+
+def box_witnesses(J: MonomialIdeal) -> dict:
+    """Each prime colon support S mapped to the grlex-least w in the box with (J : w) = P_S.
+
+    For each w in the generator box, taken in grlex order, the member set of
+    (J : w) inside the box is computed pointwise.  That set is a prime with
+    support S exactly when it coincides with the set of points touching S,
+    with S read off the unit vectors it contains.  Membership beyond the box
+    truncates back into it.
     """
     bounds = J.box()
     d = len(bounds)
-    points = box_points(bounds)
+    points = sorted(box_points(bounds), key=grlex)
     inside = {e for e in points if member(J, e)}
 
     def mem(v):
         return tuple(min(a, b) for a, b in zip(v, bounds)) in inside
 
     units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    primes = set()
+    witnesses = {}
     for w in points:
         if mem(w):  # 1 in the colon: w already in J
             continue
         colon = {e for e in points if mem(tuple(a + b for a, b in zip(e, w)))}
         if J.is_zero():
-            primes.add(())
+            witnesses.setdefault((), w)
             continue
         support = tuple(i for i in range(d) if units[i] in colon)
         if all((e in colon) == any(e[i] for i in support) for e in points):
-            primes.add(support)
-    return primes
+            witnesses.setdefault(support, w)
+    return witnesses
 
 
 def random_monomial_ideal(rng, max_vars=3, max_gens=5, max_exp=4):

@@ -325,9 +325,21 @@ def test_golden_powers_both_modes(tmp_path):
 
 
 def test_golden_superficial_not_found_csv(tmp_path):
+    # At n_max 1 to 3, c = n_max would pass without checking any level above c.
+    for n_max in ("1", "2", "3", "4"):
+        code, text = run(
+            tmp_path, "superficial", "--ideal", "vars: x,y ; ideal: x^2*y, x*y^2",
+            "--nmax", n_max, "--format", "csv",
+        )
+        assert code == 0
+        assert text == "found\nfalse\n", n_max
+
+
+def test_ass_huge_exponents(tmp_path):
+    # The generator box of the cube holds 81 million cells; its corner grid holds 100.
     code, text = run(
-        tmp_path, "superficial", "--ideal", "vars: x,y ; ideal: x^2*y, x*y^2",
-        "--nmax", "4", "--format", "csv",
+        tmp_path, "ass", "--ideal", "vars: x,y ; ideal: x^3000, x*y, y^3000",
+        "--nmax", "3", "--format", "csv",
     )
     assert code == 0
-    assert text == "found\nfalse\n"
+    assert text == 'n,prime\n1,"x,y"\n2,"x,y"\n3,"x,y"\n'

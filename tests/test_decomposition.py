@@ -138,6 +138,13 @@ def test_ass_matches_box_oracle(pair):
 
 
 @given(proper_ideals())
+def test_witnesses_are_grlex_least_in_box(pair):
+    ctx, J = pair
+    expected = {MonomialPrime(s): w for s, w in oracles.box_witnesses(J).items()}
+    assert associated_primes(J) == expected
+
+
+@given(proper_ideals())
 def test_witnesses_are_exact(pair):
     ctx, J = pair
     for prime, w in associated_primes(J).items():

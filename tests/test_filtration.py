@@ -22,6 +22,8 @@ from monofilt import (
 )
 from monofilt.ring import InfiniteLengthError
 
+import oracles
+
 _NAMES = ("x", "y", "z")
 
 
@@ -151,6 +153,18 @@ def test_naive_always_validates(pair):
     F = naive_prime_filtration(J)
     assert validate(F)
     assert F == naive_prime_filtration(J)  # deterministic
+
+
+@given(any_ideals())
+def test_naive_steps_take_least_witness_of_maximal_primes(pair):
+    ctx, J = pair
+    chain = list(J.generators)
+    for w, prime in naive_prime_filtration(J).steps:
+        witnesses = oracles.box_witnesses(ideal(ctx, chain))
+        maximal = [s for s in witnesses if not any(set(s) < set(t) for t in witnesses)]
+        least = min(maximal, key=lambda s: oracles.grlex(witnesses[s]))
+        assert (w, prime.support) == (witnesses[least], least)
+        chain.append(w)
 
 
 @given(any_ideals())

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from monofilt import (
     CyclicFilteredModule,
@@ -6,6 +7,7 @@ from monofilt import (
     colon_threshold,
     context,
     find_superficial,
+    ideal,
     integral_closure_power,
     parse_ideal,
     verify_certificate,
@@ -128,6 +130,24 @@ def test_not_found_at_root(kxy):
     # every candidate colon picks up a point below the degree staircase.
     M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2*y, x*y^2", kxy))
     assert find_superficial(M, order_max=4, n_max=20, c_max=8) is None
+
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@given(
+    st.lists(_EXPONENTS.filter(any), min_size=1, max_size=3),
+    st.lists(_EXPONENTS, max_size=2),
+    st.integers(1, 5),
+)
+def test_certificates_rest_on_a_level_above_c(gens, ann, n_max):
+    # The defining condition at n = c holds for every element, so it verifies nothing.
+    ctx = context("x", "y")
+    I, J = ideal(ctx, gens), ideal(ctx, ann)
+    if J.contains_ideal(I):
+        return
+    cert = find_superficial(CyclicFilteredModule(J, I), n_max=n_max)
+    assert cert is None or cert.c < cert.verified_to
 
 
 def test_find_superficial_preconditions(kxy):
