@@ -142,7 +142,9 @@ def _vertex_set(gens, facets, d: int):
     return tuple(sorted(vertices))
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived process does not keep every hull it ever built;
+# one command needs a handful of entries.
+@lru_cache(maxsize=128)
 def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
     """Facets and vertices of the Newton polyhedron, exactly."""
     if I.is_zero():

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
+from operator import add, le, neg
 from typing import Iterable, Union
 
 from .errors import IdealSyntaxError, InfiniteLengthError
@@ -32,24 +33,28 @@ def grlex_key(e: Monomial):
     exponents on earlier variables come first (so x precedes y, and
     x^2 precedes x*y).
     """
-    return (sum(e), tuple(-v for v in e))
+    return (sum(e), tuple(map(neg, e)))
+
+
+# The kernels below run under every ideal operation.  ``map`` over operator
+# functions, like ``zip``, stops at the shorter argument.
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_colon(g: Monomial, w: Monomial) -> Monomial:
     """Exponents of g / gcd(g, w); the generator map of an ideal colon."""
-    return tuple(max(x - y, 0) for x, y in zip(g, w))
+    return tuple([x - y if x > y else 0 for x, y in zip(g, w)])
 
 
 def mono_support(e: Monomial) -> tuple:

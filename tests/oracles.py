@@ -211,3 +211,55 @@ def _solve_exact(columns, rhs, size):
                 factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
     return [mat[r][size] for r in range(size)]
+
+
+# Loop forms of the monomial kernels in monofilt.ring, kept as their reference.
+
+
+def loop_mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def loop_mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def loop_mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def loop_mono_colon(g, w):
+    return tuple(max(x - y, 0) for x, y in zip(g, w))
+
+
+def loop_grlex_key(e):
+    return (sum(e), tuple(-v for v in e))
+
+
+def reference_validate(filtration) -> tuple:
+    """The three-loop chain check that ``validate`` must agree with, as (ok, step, reason).
+
+    Per step: no chain generator divides the witness w; every generator of
+    (U : w) meets the claimed prime's support; every variable x_i of the
+    support has some generator dividing w * x_i.  Then w joins the antichain.
+    Defined on well-formed steps only (witness and support fit the ring).
+    """
+    d = filtration.base.ctx.num_vars
+    unit = (0,) * d
+    gens = list(filtration.base.generators)
+    for k, (w, prime) in enumerate(filtration.steps):
+        if any(loop_mono_divides(g, w) for g in gens):
+            return (False, k, "witness already lies in the chain ideal")
+        supp = set(prime.support)
+        for g in gens:
+            r = loop_mono_colon(g, w)
+            if not any(r[i] for i in supp):
+                return (False, k, "colon is larger than the claimed prime")
+        for i in prime.support:
+            x_i = tuple(1 if j == i else 0 for j in range(d))
+            if not any(loop_mono_divides(g, loop_mono_mul(w, x_i)) for g in gens):
+                return (False, k, "colon is smaller than the claimed prime")
+        gens = [g for g in gens if not loop_mono_divides(w, g)] + [w]
+    if gens != [unit]:
+        return (False, None, "final ideal in the chain is not the unit ideal")
+    return (True, None, None)

@@ -47,6 +47,10 @@ def test_polyhedron_dimension_limit():
         newton_polyhedron(ideal(ctx, [ctx.variable(0)]))
 
 
+def test_polyhedron_cache_is_bounded():
+    assert newton_polyhedron.cache_info().maxsize is not None
+
+
 def test_closure_examples(kxy):
     I = parse_ideal("x^3, y^3", kxy)
     m = parse_ideal("x, y", kxy)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -78,6 +79,25 @@ def test_validate_flags_unfinished_chain(kxy):
     verdict = validate(PrimeFiltration(parse_ideal("x", kxy), ()))
     assert not verdict
     assert "unit" in verdict.reason
+
+
+MALFORMED = "step is not a monomial and prime of this ring"
+
+
+@pytest.mark.parametrize(
+    "first",
+    [((1,), MonomialPrime((0,))), ((1, 0, 5), MonomialPrime((0,))), ((1, 0), MonomialPrime((0, 5)))],
+)
+def test_validate_rejects_steps_outside_the_ring(kxy, first):
+    steps = (first, ((0, 0), MonomialPrime((0,))))
+    verdict = validate(PrimeFiltration(parse_ideal("x^2", kxy), steps))
+    assert (verdict.ok, verdict.step, verdict.reason) == (False, 0, MALFORMED)
+
+
+def test_validate_rejects_negative_exponent_after_valid_steps(kxy):
+    steps = (((1, 0), MonomialPrime((0,))), ((0, -1), MonomialPrime((0,))))
+    verdict = validate(PrimeFiltration(parse_ideal("x^2", kxy), steps))
+    assert (verdict.ok, verdict.step, verdict.reason) == (False, 1, MALFORMED)
 
 
 def test_glue_two_steps(kxy):
@@ -199,3 +219,80 @@ def test_glue_additivity_random(pair, wexp):
     glued = glue(B, w, left, right)
     assert validate(glued)
     assert glued.ledger() == left.ledger() + right.ledger()
+
+
+def _well_formed(step, d):
+    w, prime = step
+    return len(w) == d and min(w) >= 0 and all(0 <= i < d for i in prime.support)
+
+
+def _mutants(F, rng):
+    """One mutant of F per kind: swap, drop, duplicate, new support, witness exponent +-1."""
+    steps = list(F.steps)
+    d = F.base.ctx.num_vars
+    if not steps:
+        return [F]
+    i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+    swapped = list(steps)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    w, prime = steps[i]
+    support = tuple(v for v in range(d) if rng.random() < 0.5)
+    shifted = []
+    for delta in (1, -1):
+        e = list(w)
+        e[rng.randrange(d)] += delta
+        shifted.append(steps[:i] + [(tuple(e), prime)] + steps[i + 1:])
+    variants = [
+        swapped,
+        steps[:i] + steps[i + 1:],
+        steps[:j] + [steps[i]] + steps[j:],
+        steps[:i] + [(w, MonomialPrime(support))] + steps[i + 1:],
+        *shifted,
+    ]
+    return [F] + [PrimeFiltration(F.base, tuple(v)) for v in variants]
+
+
+def _expected(F):
+    """reference_validate's verdict, or the malformed-step verdict where that comes first."""
+    d = F.base.ctx.num_vars
+    bad = next((k for k, step in enumerate(F.steps) if not _well_formed(step, d)), None)
+    if bad is None:
+        return oracles.reference_validate(F)
+    prefix = oracles.reference_validate(PrimeFiltration(F.base, F.steps[:bad]))
+    if not prefix[0] and prefix[1] is not None:
+        return prefix
+    return (False, bad, MALFORMED)
+
+
+def _filtrations(J, n_max):
+    found = [naive_prime_filtration(J)]
+    if not J.is_zero() and not J.is_unit():
+        found += powers_report(J, n_max, "theorem").filtrations.values()
+    return found
+
+
+@given(any_ideals(), st.randoms(use_true_random=False))
+def test_validate_agrees_with_reference_on_mutants(pair, rng):
+    _, J = pair
+    for F in _filtrations(J, 2):
+        for M in _mutants(F, rng):
+            verdict = validate(M)
+            assert (verdict.ok, verdict.step, verdict.reason) == _expected(M)
+
+
+def test_mutants_reach_every_verdict():
+    rng = random.Random(5)
+    reasons = Counter()
+    for _ in range(40):
+        I = oracles.random_proper_ideal(rng, max_exp=3)
+        for F in _filtrations(I, 2):
+            for M in _mutants(F, rng):
+                reasons[validate(M).reason] += 1
+    assert set(reasons) == {
+        None,
+        "witness already lies in the chain ideal",
+        "colon is larger than the claimed prime",
+        "colon is smaller than the claimed prime",
+        "final ideal in the chain is not the unit ideal",
+        MALFORMED,
+    }

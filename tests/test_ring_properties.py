@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from monofilt import context, ideal
-from monofilt.ring import grlex_key, mono_divides, mono_mul
+from monofilt.ring import grlex_key, mono_colon, mono_divides, mono_lcm, mono_mul
 
 import oracles
 
@@ -100,3 +100,16 @@ def test_colon_sandwich(pair):
         assert quotient.contains_ideal(A)
         for g in quotient.generators:
             assert A.contains(mono_mul(g, w))
+
+
+_exponent_tuples = st.lists(st.integers(0, 6), max_size=4).map(tuple)
+
+
+@given(_exponent_tuples, _exponent_tuples)
+def test_kernels_match_loop_forms(a, b):
+    # Lengths differ freely: every kernel stops at the shorter argument.
+    assert mono_mul(a, b) == oracles.loop_mono_mul(a, b)
+    assert mono_divides(a, b) == oracles.loop_mono_divides(a, b)
+    assert mono_lcm(a, b) == oracles.loop_mono_lcm(a, b)
+    assert mono_colon(a, b) == oracles.loop_mono_colon(a, b)
+    assert grlex_key(a) == oracles.loop_grlex_key(a)
