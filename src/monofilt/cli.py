@@ -24,7 +24,6 @@ import sys
 from . import __version__
 from .closure import (
     closure_powers_report,
-    integral_closure_power,
     newton_polyhedron,
     noetherian_exponent,
     rees_cofinality_constant,
@@ -265,15 +264,16 @@ def cmd_superficial(args, ctx, I):
 
 def cmd_closure(args, ctx, I):
     poly = newton_polyhedron(I)
-    closure_gens = {
-        n: integral_closure_power(I, n).generator_strings() for n in range(1, args.nmax + 1)
-    }
     exponent = noetherian_exponent(I, l_max=4, n_max=min(args.nmax, 6))
     rees = rees_cofinality_constant(I, m_max=args.nmax)
     report = closure_powers_report(I, args.nmax, window=args.window, order_max=args.order_max)
     body = {
         "polyhedron": poly.serialize(),
-        "closures": [{"n": n, "generators": gens} for n, gens in sorted(closure_gens.items())],
+        # each filtration of the closure sweep has closure(I^n) as its base
+        "closures": [
+            {"n": n, "generators": report.filtrations[n].base.generator_strings()}
+            for n in range(1, args.nmax + 1)
+        ],
         "noetherian_exponent": exponent.to_document(),
         "rees_cofinality_constant": rees,
         "powers": report.to_document(),

@@ -4,8 +4,9 @@ Every associated prime of a monomial quotient is generated by a subset of the
 variables, so primes are represented by their variable support alone.  The
 associated primes come from one scan of the corner grid of the generators,
 which finds the grlex-least witness w with (J : w) prime for every prime
-support at once.  The decomposition is the classical splitting of a mixed
-generator into its pure parts.
+support at once.  The irreducible components come from the same grid: by
+Alexander duality they are its points w with (J : w) prime that sit at the
+top of every axis off the prime's support.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .ring import (
     grlex_key,
     ideal,
     mono_colon,
-    mono_support,
 )
 
 
@@ -91,64 +91,22 @@ class IrreducibleComponent:
         return ideal(ctx, gens)
 
 
-def _is_pure_power_ideal(J: MonomialIdeal) -> bool:
-    return all(len(mono_support(g)) <= 1 for g in J.generators)
-
-
-def _component_of(J: MonomialIdeal) -> IrreducibleComponent:
-    bounds = []
-    for g in J.generators:
-        (i,) = mono_support(g)
-        bounds.append((i, g[i]))
-    return IrreducibleComponent(tuple(sorted(bounds)))
-
-
 def irreducible_decomposition(J: MonomialIdeal) -> tuple:
     """Irredundant irreducible components of a proper nonzero monomial ideal.
 
-    Splitting rule: take the grlex-least generator with mixed support and
-    split off its least variable.  The intersection of the result equals J.
+    By Alexander duality the components are points of the corner grid: a
+    point w with (J : w) = P_S that sits at the top of every axis off S gives
+    the component (x_i^(w_i + 1) : i in S), and every component arises once.
     """
     if J.is_zero() or J.is_unit():
         raise DegenerateIdealError("irreducible decomposition needs a proper nonzero ideal")
-    ctx = J.ctx
-    leaves = set()
-    memo = set()
-    stack = [J]
-    while stack:
-        current = stack.pop()
-        if current in memo:
-            continue
-        memo.add(current)
-        if _is_pure_power_ideal(current):
-            leaves.add(_component_of(current))
-            continue
-        split_gen = next(g for g in current.generators if len(mono_support(g)) > 1)
-        i = mono_support(split_gen)[0]
-        pure = [0] * ctx.num_vars
-        pure[i] = split_gen[i]
-        rest = list(split_gen)
-        rest[i] = 0
-        stack.append(current.add_monomial(tuple(pure)))
-        stack.append(current.add_monomial(tuple(rest)))
-
-    components = sorted(leaves, key=lambda c: c.bounds)
-    # Drop components containing the intersection of the others.
-    changed = True
-    while changed:
-        changed = False
-        for k, comp in enumerate(components):
-            others = components[:k] + components[k + 1 :]
-            if not others:
-                break
-            meet = others[0].as_ideal(ctx)
-            for other in others[1:]:
-                meet = meet.intersect(other.as_ideal(ctx))
-            if comp.as_ideal(ctx).contains_ideal(meet):
-                components.pop(k)
-                changed = True
-                break
-    return tuple(components)
+    axes = corner_axes(J.generators, J.ctx.num_vars)
+    components = []
+    for w in product(*axes):
+        supp = colon_prime_support(J.generators, w)
+        if supp is not None and all(w[i] == axes[i][-1] for i in range(len(w)) if i not in supp):
+            components.append(IrreducibleComponent(tuple((i, w[i] + 1) for i in supp)))
+    return tuple(sorted(components, key=lambda c: c.bounds))
 
 
 def _witness_for(gens, d: int) -> dict:
@@ -197,8 +155,9 @@ def dimension(J: MonomialIdeal) -> int:
 
 def minh(J: MonomialIdeal) -> tuple:
     """Minimal primes of maximal-dimension components: dim R/P = dim R/J."""
-    codim = min(p.codim() for p in minimal_primes(J))
-    return tuple(p for p in minimal_primes(J) if p.codim() == codim)
+    primes = minimal_primes(J)
+    codim = min(p.codim() for p in primes)
+    return tuple(p for p in primes if p.codim() == codim)
 
 
 def prime_avoidance_element(ctx: RingContext, contain, avoid) -> Monomial:

@@ -108,7 +108,9 @@ def validate(filtration: PrimeFiltration) -> ValidationResult:
     gens = list(filtration.base.generators)
     for k, (w, prime) in enumerate(filtration.steps):
         supp = set(prime.support)
-        is_monomial = len(w) == d and all(isinstance(v, int) and v >= 0 for v in w)
+        is_monomial = (
+            isinstance(w, tuple) and len(w) == d and all(isinstance(v, int) and v >= 0 for v in w)
+        )
         if not is_monomial or not supp <= set(indices):
             return ValidationResult(False, k, "step is not a monomial and prime of this ring")
         larger = False

@@ -52,6 +52,10 @@ from .superficial import (
 )
 
 
+# Largest superficial constant c tried at each annihilator.
+_C_MAX = 6
+
+
 class FiltrationEngine:
     """Shared state for one sweep: term ideals, certificates, and memoized builds."""
 
@@ -61,7 +65,6 @@ class FiltrationEngine:
         *,
         term_fn: "Callable[[int], MonomialIdeal] | None" = None,
         order_max: int = 3,
-        c_max: int = 6,
         verify_to: int = 24,
     ):
         if I.is_zero() or I.is_unit():
@@ -69,34 +72,26 @@ class FiltrationEngine:
         self.ts = TermSystem(I, term_fn)
         self.ctx = I.ctx
         self.order_max = order_max
-        self.c_max = c_max
         self.verify_to = verify_to
-        self._superficial = {}
         self._certs = {}
         self._memo = {}
         self._stationary = {}
         self.glue_nodes = {}
         self.fallback_nodes = {}
 
-    def superficial_certificate(self, J: MonomialIdeal) -> Optional[SuperficialCertificate]:
-        if J not in self._superficial:
-            self._superficial[J] = search_certificate(
-                self.ts, J, self.order_max, self.c_max, self.verify_to
-            )
-        return self._superficial[J]
-
     def certificate(
         self, J: MonomialIdeal
     ) -> "SuperficialCertificate | SpliceCertificate | None":
         """The certificate splices at J use: superficial if one exists, else a splice one."""
         if J not in self._certs:
-            self._certs[J] = self.superficial_certificate(J) or search_splice_certificate(
-                self.ts, J, self.order_max, self.verify_to
-            )
+            self._certs[J] = search_certificate(
+                self.ts, J, self.order_max, _C_MAX, self.verify_to
+            ) or search_splice_certificate(self.ts, J, self.order_max, self.verify_to)
         return self._certs[J]
 
     def root_certificate(self) -> Optional[SuperficialCertificate]:
-        return self.superficial_certificate(zero_ideal(self.ctx))
+        cert = self.certificate(zero_ideal(self.ctx))
+        return cert if isinstance(cert, SuperficialCertificate) else None
 
     def filtration(self, n: int, J: "MonomialIdeal | None" = None):
         """Filtration of R/(T(n) + J) plus a flag for greedy fallbacks in the subtree."""
@@ -153,16 +148,9 @@ class FiltrationEngine:
         return (naive_prime_filtration(base), True)
 
 
-def theorem_filtration(
-    module: CyclicFilteredModule,
-    n: int,
-    engine: "FiltrationEngine | None" = None,
-    **bounds,
-) -> PrimeFiltration:
+def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
     """Certified recursive filtration of R/(I^n + J) for the given module."""
-    if engine is None:
-        engine = FiltrationEngine(module.filtration_ideal, **bounds)
-    filtration, _ = engine.filtration(n, module.annihilator)
+    filtration, _ = FiltrationEngine(module.filtration_ideal).filtration(n, module.annihilator)
     return filtration
 
 
@@ -297,8 +285,6 @@ def powers_report(
     *,
     window: int = 4,
     order_max: int = 3,
-    c_max: int = 6,
-    verify_to: "int | None" = None,
     term_fn: "Callable[[int], MonomialIdeal] | None" = None,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
@@ -312,13 +298,10 @@ def powers_report(
         raise ValueError("n_max must be at least 1")
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
-    verify_to = 2 * n_max if verify_to is None else verify_to
     engine = None
     cert = None
     if mode == "theorem":
-        engine = FiltrationEngine(
-            I, term_fn=term_fn, order_max=order_max, c_max=c_max, verify_to=verify_to
-        )
+        engine = FiltrationEngine(I, term_fn=term_fn, order_max=order_max, verify_to=2 * n_max)
         cert = engine.root_certificate()
     ts = engine.ts if engine is not None else TermSystem(I, term_fn)
 

@@ -159,9 +159,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return self.generators == (self.ctx.unit_monomial(),)
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def box(self) -> Monomial:
         """Componentwise maximum of the generator exponents (zeros for the zero ideal)."""
         d = self.ctx.num_vars

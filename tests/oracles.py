@@ -145,6 +145,70 @@ def box_witnesses(J: MonomialIdeal) -> dict:
     return witnesses
 
 
+def reference_irreducible_decomposition(J: MonomialIdeal) -> tuple:
+    """Irredundant irreducible components of J as sorted ``bounds`` tuples, by splitting.
+
+    Splitting rule: a generator with mixed support is u * v, with u the pure
+    power of its least variable; the ideal is the intersection of the two
+    ideals that add u and v instead.  Ideals of pure powers are the leaves.
+    Then each leaf containing the intersection of the others is dropped,
+    judged by member sets over the box of the leaf exponents.
+    """
+    d = J.ctx.num_vars
+    leaves = set()
+    seen = set()
+    stack = [_antichain(J.generators)]
+    while stack:
+        gens = stack.pop()
+        if gens in seen:
+            continue
+        seen.add(gens)
+        mixed = next((g for g in gens if sum(1 for v in g if v) > 1), None)
+        if mixed is None:
+            leaves.add(tuple(sorted((g.index(max(g)), max(g)) for g in gens)))
+            continue
+        i = next(j for j in range(d) if mixed[j])
+        pure = tuple(mixed[j] if j == i else 0 for j in range(d))
+        rest = tuple(0 if j == i else mixed[j] for j in range(d))
+        stack.append(_antichain(gens + (pure,)))
+        stack.append(_antichain(gens + (rest,)))
+
+    components = sorted(leaves)
+    bounds = [0] * d
+    for comp in components:
+        for i, a in comp:
+            bounds[i] = max(bounds[i], a)
+    points = box_points(bounds)
+    masks = [
+        sum(1 << k for k, e in enumerate(points) if any(e[i] >= a for i, a in comp))
+        for comp in components
+    ]
+    everything = (1 << len(points)) - 1
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(components)):
+            others = masks[:k] + masks[k + 1 :]
+            if not others:
+                break
+            meet = everything
+            for mask in others:
+                meet &= mask
+            if meet & ~masks[k] == 0:
+                del components[k], masks[k]
+                changed = True
+                break
+    return tuple(components)
+
+
+def _antichain(gens) -> tuple:
+    """Minimal elements of the generators under divisibility, sorted."""
+    gens = set(gens)
+    return tuple(
+        sorted(g for g in gens if not any(h != g and loop_mono_divides(h, g) for h in gens))
+    )
+
+
 def random_monomial_ideal(rng, max_vars=3, max_gens=5, max_exp=4):
     d = rng.randint(1, max_vars)
     ctx = context(*("x", "y", "z")[:d])

@@ -20,7 +20,7 @@ from monofilt import (
 
 import oracles
 
-_NAMES = ("x", "y", "z")
+_NAMES = ("x", "y", "z", "w")
 
 
 @pytest.fixture
@@ -129,6 +129,36 @@ def proper_ideals(draw, max_vars=3, max_gens=4, max_exp=3):
 def test_components_intersect_to_input(pair):
     ctx, J = pair
     assert intersection_of(ctx, irreducible_decomposition(J)) == J
+
+
+@given(proper_ideals(max_vars=4, max_gens=6, max_exp=4))
+def test_decomposition_matches_splitting_oracle(pair):
+    ctx, J = pair
+    got = tuple(c.bounds for c in irreducible_decomposition(J))
+    assert got == oracles.reference_irreducible_decomposition(J)
+
+
+def test_decomposition_huge_exponents(kxy):
+    comps = irreducible_decomposition(parse_ideal("x^3000, x*y, y^3000", kxy))
+    assert [c.bounds for c in comps] == [((0, 1), (1, 3000)), ((0, 3000), (1, 1))]
+
+
+def test_decomposition_five_variables():
+    ctx = context("a", "b", "c", "d", "e")
+    J = parse_ideal("a^2*b, b^3*c, c*d^2, d*e^3, a*e, b^2*d*e", ctx)
+    comps = irreducible_decomposition(J)
+    assert [c.bounds for c in comps] == [
+        ((0, 1), (1, 2), (2, 1), (4, 3)),
+        ((0, 1), (1, 2), (3, 2), (4, 3)),
+        ((0, 1), (1, 3), (3, 1)),
+        ((0, 1), (2, 1), (3, 1)),
+        ((0, 2), (1, 3), (3, 2), (4, 1)),
+        ((0, 2), (2, 1), (4, 1)),
+        ((1, 1), (2, 1), (4, 1)),
+        ((1, 1), (3, 2), (4, 1)),
+    ]
+    assert tuple(c.bounds for c in comps) == oracles.reference_irreducible_decomposition(J)
+    assert intersection_of(ctx, comps) == J
 
 
 @given(proper_ideals())

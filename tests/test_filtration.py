@@ -100,6 +100,14 @@ def test_validate_rejects_negative_exponent_after_valid_steps(kxy):
     assert (verdict.ok, verdict.step, verdict.reason) == (False, 1, MALFORMED)
 
 
+def test_validate_rejects_list_witness(kxy):
+    # A list is not a monomial of the ring, even when its entries would be.
+    steps = (([0, 0], MonomialPrime((0,))),)
+    verdict = validate(PrimeFiltration(parse_ideal("x", kxy), steps))
+    assert (verdict.ok, verdict.step, verdict.reason) == (False, 0, MALFORMED)
+    assert validate(PrimeFiltration(parse_ideal("x", kxy), (((0, 0), MonomialPrime((0,))),)))
+
+
 def test_glue_two_steps(kxy):
     base = parse_ideal("x^2", kxy)
     left = naive_prime_filtration(parse_ideal("x", kxy))

@@ -1,0 +1,87 @@
+"""Every name a module of the package imports is used in that module.
+
+Each ``src/monofilt/*.py`` is parsed with ``ast``.  A name counts as used
+when it is loaded anywhere in the module, including inside a string
+annotation.  An import kept on purpose carries ``# noqa: F401`` and a reason
+on its line.  The package ``__init__.py`` imports to re-export, so it is
+left out, as are ``__future__`` imports.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+_PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "monofilt"
+_NOQA = re.compile(r"#\s*noqa:\s*F401\b\s*(\S.*)?$")
+
+
+def _modules():
+    return sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(bound name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, alias.lineno
+
+
+def _used(tree) -> set:
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            inner = ast.parse(annotation.value, mode="eval")
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str) -> list:
+    """Imported names that the module never uses and no reasoned noqa keeps."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = _used(tree)
+    unused = []
+    for name, line in _imported(tree):
+        if name in used:
+            continue
+        kept = _NOQA.search(lines[line - 1])
+        if kept is None or not kept.group(1):
+            unused.append((name, line))
+    return unused
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_catches_unused_and_bare_noqa():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import (\n"
+        "    path,\n"
+        "    sep,\n"
+        ")\n"
+        "import json  # noqa: F401\n"
+        "import sys  # noqa: F401  kept for its side effect\n"
+        "import re\n"
+        "def f(a: \"re.Pattern\") -> None:\n"
+        "    return path\n"
+    )
+    assert unused_imports(source) == [("sep", 4), ("json", 6)]

@@ -132,6 +132,31 @@ def test_report_splices_along_splice_certificate(kxy):
     assert rep.engine.glue_nodes[(J, 12)]["multiplier"] == (4, 0)
 
 
+def test_root_certificate_is_the_superficial_search():
+    # The engine keeps one certificate cache; its root entry, when
+    # superficial, must be what the plain superficial search at the report's
+    # bounds finds, and a splice certificate at the root must not leak out.
+    import random
+
+    import oracles
+    from monofilt.superficial import TermSystem, search_certificate
+
+    rng = random.Random(5107)
+    for _ in range(30):
+        I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=4, max_exp=3)
+        n_max = rng.randint(1, 4)
+        rep = powers_report(I, n_max, "theorem")
+        expected = search_certificate(TermSystem(I), zero_ideal(I.ctx), 3, 6, 2 * n_max)
+        assert rep.engine.root_certificate() == expected
+        assert rep.superficial == expected
+    # At n_max 1 this root splices along x^2*y^4 but has no superficial element.
+    I = parse_ideal("x*y^2, x^3*y", context("x", "y"))
+    rep = powers_report(I, 1, "theorem")
+    assert isinstance(rep.engine.certificate(zero_ideal(I.ctx)), SpliceCertificate)
+    assert rep.engine.root_certificate() is None
+    assert rep.superficial is None
+
+
 def test_report_naive_mode(kxy):
     rep = powers_report(parse_ideal("x^2, x*y", kxy), 6, "naive")
     assert rep.superficial is None
