@@ -33,7 +33,7 @@ from .errors import CertificateError, InfeasibleError, MonofiltError
 from .filtration import cm_certificate
 from .powers import ass_stability, powers_report
 from .ring import parse_problem, zero_ideal
-from .superficial import CyclicFilteredModule, find_superficial
+from .superficial import C_MAX, CyclicFilteredModule, find_superficial
 
 _FORMATS = ("human", "json", "csv")
 
@@ -242,7 +242,7 @@ def cmd_superficial(args, ctx, I):
     if cert is None:
         body = {
             "found": False,
-            "search": {"order_max": args.order_max, "c_max": 6, "n_max": args.nmax},
+            "search": {"order_max": args.order_max, "c_max": C_MAX, "n_max": args.nmax},
         }
         table = (("found",), [("false",)])
     else:

@@ -6,7 +6,9 @@ associated primes come from one scan of the corner grid of the generators,
 which finds the grlex-least witness w with (J : w) prime for every prime
 support at once.  The irreducible components come from the same grid: by
 Alexander duality they are its points w with (J : w) prime that sit at the
-top of every axis off the prime's support.
+top of every axis off the prime's support.  Both scans decide each cell
+from the generator bitmasks of :func:`~monofilt.ring.corner_masks`, built
+once per scan.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .ring import (
     MonomialIdeal,
     RingContext,
     corner_axes,
+    corner_masks,
     grlex_key,
     ideal,
-    mono_colon,
 )
 
 
@@ -54,26 +56,32 @@ class MonomialPrime:
         return len(self.support)
 
 
-def colon_prime_support(gens, w: Monomial) -> "tuple | None":
-    """Support of (U : w) when that colon is prime, without minimalizing.
+def colon_prime_support(masks, w: Monomial) -> "tuple | None":
+    """Support of (U : w) when that colon is prime, for a point w of the grid.
 
-    ``gens`` is the antichain of U.  Returns None when w lies in U or the
-    colon is not prime.  The colon is prime exactly when every colon residue
-    is divisible by a residue that is a single variable.
+    ``masks`` is the :func:`~monofilt.ring.corner_masks` table of the
+    antichain of U on a grid holding w.  Returns None when w lies in U or
+    the colon is not prime.  Generator j leaves the residue x_i exactly when
+    i is the only axis where g_j exceeds w and g_j[i] = w_i + 1; those i are
+    the units.  The colon is prime exactly when every residue is divisible
+    by a unit, that is when the OR of the units' ``above`` masks is full.
     """
-    residues = []
-    units = set()
-    for g in gens:
-        r = mono_colon(g, w)
-        if not any(r):
-            return None  # w in U
-        residues.append(r)
-        if sum(r) == 1:
-            units.add(r.index(1))
-    for r in residues:
-        if not any(r[i] for i in units):
-            return None
-    return tuple(sorted(units))
+    full, above, exact = masks
+    rows = [col[a] for col, a in zip(above, w)]
+    once = twice = 0
+    for m in rows:
+        twice |= once & m
+        once |= m
+    if once != full:
+        return None  # some generator exceeds w nowhere: w in U
+    single = full ^ twice  # generators that exceed w on exactly one axis
+    units = []
+    covered = 0
+    for i, col in enumerate(exact):
+        if single & col[w[i]]:
+            units.append(i)
+            covered |= rows[i]
+    return tuple(units) if covered == full else None
 
 
 @dataclass(frozen=True)
@@ -101,9 +109,10 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple:
     if J.is_zero() or J.is_unit():
         raise DegenerateIdealError("irreducible decomposition needs a proper nonzero ideal")
     axes = corner_axes(J.generators, J.ctx.num_vars)
+    masks = corner_masks(J.generators, axes)
     components = []
     for w in product(*axes):
-        supp = colon_prime_support(J.generators, w)
+        supp = colon_prime_support(masks, w)
         if supp is not None and all(w[i] == axes[i][-1] for i in range(len(w)) if i not in supp):
             components.append(IrreducibleComponent(tuple((i, w[i] + 1) for i in supp)))
     return tuple(sorted(components, key=lambda c: c.bounds))
@@ -116,13 +125,20 @@ def _witness_for(gens, d: int) -> dict:
     grid only: for i outside S, lowering w_i to the largest generator exponent
     g_i <= w_i, or to 0, keeps the colon equal to P_S; for i in S, w_i = g_i - 1
     where g is the generator whose residue is x_i.  So every least witness has
-    its exponents on the axes of :func:`corner_axes`.
+    its exponents on the axes of :func:`corner_axes`.  The grid is walked once
+    in product order, keeping the grlex-least hit per support.
     """
+    axes = corner_axes(gens, d)
+    masks = corner_masks(gens, axes)
     found = {}
-    for w in sorted(product(*corner_axes(gens, d)), key=grlex_key):
-        supp = colon_prime_support(gens, w)
-        if supp is not None and supp not in found:
-            found[supp] = w
+    keys = {}
+    for w in product(*axes):
+        supp = colon_prime_support(masks, w)
+        if supp is not None:
+            key = grlex_key(w)
+            if supp not in keys or key < keys[supp]:
+                keys[supp] = key
+                found[supp] = w
     return found
 
 

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime
-from .ring import MonomialIdeal, RingContext, corner_axes, corner_regions, ideal
+from .ring import (
+    MonomialIdeal,
+    RingContext,
+    corner_axes,
+    corner_masks,
+    corner_regions,
+    ideal,
+    lies_outside,
+)
 from .superficial import TermSystem
 
 
@@ -31,17 +39,21 @@ def h0_length(J: MonomialIdeal) -> int:
     generator that eventually absorbs it.  That box is the union of the
     corner regions of J.  Every generator exponent of sat(J) is 0 or one of
     J, so both memberships are constant on each region and are decided at
-    its least corner.
+    its least corner, by the mask tables of J and of sat(J), both built on
+    J's axes.
     """
     if J.is_unit():
         raise ValueError("R/J is the zero module")
     saturated = J.saturation(_maximal_ideal(J.ctx))
     if saturated == J:
         return 0
+    axes = corner_axes(J.generators, J.ctx.num_vars)
+    inner = corner_masks(J.generators, axes)
+    outer = corner_masks(saturated.generators, axes)
     return sum(
         volume
-        for corner, volume in corner_regions(corner_axes(J.generators, J.ctx.num_vars))
-        if saturated.contains(corner) and not J.contains(corner)
+        for corner, volume in corner_regions(axes)
+        if lies_outside(inner, corner) and not lies_outside(outer, corner)
     )
 
 

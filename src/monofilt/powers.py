@@ -43,6 +43,7 @@ from .errors import CertificateError
 from .filtration import PrimeFiltration, glue, naive_prime_filtration, validate
 from .ring import Monomial, MonomialIdeal, RingContext, ideal, zero_ideal
 from .superficial import (
+    C_MAX,
     CyclicFilteredModule,
     SpliceCertificate,
     SuperficialCertificate,
@@ -50,10 +51,6 @@ from .superficial import (
     search_certificate,
     search_splice_certificate,
 )
-
-
-# Largest superficial constant c tried at each annihilator.
-_C_MAX = 6
 
 
 class FiltrationEngine:
@@ -85,7 +82,7 @@ class FiltrationEngine:
         """The certificate splices at J use: superficial if one exists, else a splice one."""
         if J not in self._certs:
             self._certs[J] = search_certificate(
-                self.ts, J, self.order_max, _C_MAX, self.verify_to
+                self.ts, J, self.order_max, C_MAX, self.verify_to
             ) or search_splice_certificate(self.ts, J, self.order_max, self.verify_to)
         return self._certs[J]
 
@@ -296,6 +293,10 @@ def powers_report(
         raise ValueError(f"unknown mode '{mode}'")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    if order_max < 1:
+        raise ValueError(f"order_max must be at least 1, got {order_max}")
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     engine = None
@@ -397,6 +398,8 @@ def ass_stability(I: MonomialIdeal, n_max: int, window: int = 4) -> AssStability
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     ts = TermSystem(I)

@@ -230,20 +230,20 @@ class MonomialIdeal:
         """Number of monomials outside the ideal, when finite.
 
         Finite exactly when every variable appears as a pure power among the
-        generators; otherwise :class:`InfiniteLengthError` identifies an
-        unbounded variable.  The count adds the volumes of the corner regions
-        whose least corner lies outside the ideal.
+        generators, the unit monomial included (the unit ideal has colength
+        0); otherwise :class:`InfiniteLengthError` identifies an unbounded
+        variable.  The count adds the volumes of the corner regions whose
+        least corner lies outside the ideal, decided by the mask table of
+        :func:`corner_masks`.
         """
         for i, name in enumerate(self.ctx.variable_names):
-            if not any(mono_support(g) == (i,) for g in self.generators):
+            if not any(mono_support(g) in ((), (i,)) for g in self.generators):
                 raise InfiniteLengthError(
                     f"R/ideal has infinite length: no pure power of '{name}' among the generators"
                 )
-        return sum(
-            volume
-            for corner, volume in corner_regions(corner_axes(self.generators, self.ctx.num_vars))
-            if not self.contains(corner)
-        )
+        axes = corner_axes(self.generators, self.ctx.num_vars)
+        masks = corner_masks(self.generators, axes)
+        return sum(volume for corner, volume in corner_regions(axes) if lies_outside(masks, corner))
 
     # -- presentation ------------------------------------------------------
 
@@ -285,6 +285,48 @@ def corner_axes(gens, d: int) -> tuple:
         tuple(sorted({0} | {g[i] for g in gens} | {g[i] - 1 for g in gens if g[i]}))
         for i in range(d)
     )
+
+
+def corner_masks(gens, axes) -> tuple:
+    """Generator bitmasks over a grid: ``(full, above, exact)``.
+
+    For the generators g_0 ... g_(k-1) and the ascending per-variable axis
+    values ``axes``, which must hold every generator exponent on that axis,
+    ``above[i][a]`` sets bit j when g_j[i] > a, ``exact[i][a]`` sets bit j
+    when g_j[i] = a + 1, and ``full`` = 2^k - 1.  Whether a grid
+    point lies in the ideal, and what its colon is, depends only on which
+    generators exceed it on which axis, so these masks answer every cell in
+    O(d) integer operations.
+    """
+    above = []
+    exact = []
+    for i, axis in enumerate(axes):
+        at = dict.fromkeys(axis, 0)  # generators with g_j[i] = a; every g_j[i] is on the axis
+        for j, g in enumerate(gens):
+            at[g[i]] |= 1 << j
+        above_i, exact_i = {}, {}
+        exceeding = 0
+        for a in reversed(axis):
+            above_i[a] = exceeding
+            exact_i[a] = at.get(a + 1, 0)
+            exceeding |= at[a]
+        above.append(above_i)
+        exact.append(exact_i)
+    return (1 << len(gens)) - 1, tuple(above), tuple(exact)
+
+
+def lies_outside(masks, w: Monomial) -> bool:
+    """True when the grid point w lies outside the ideal of the mask table.
+
+    w is outside exactly when every generator exceeds it on some axis, that
+    is when the OR of ``above[i][w_i]`` is full.  For the zero ideal full is
+    0 and every point is outside; for the unit ideal none is.
+    """
+    full, above, _ = masks
+    exceeded = 0
+    for col, a in zip(above, w):
+        exceeded |= col[a]
+    return exceeded == full
 
 
 def corner_regions(axes):

@@ -21,6 +21,9 @@ from typing import Callable, Optional
 
 from .ring import Monomial, MonomialIdeal, RingContext, grlex_key, unit_ideal
 
+# Largest superficial constant c tried by a certificate search.
+C_MAX = 6
+
 
 @dataclass(frozen=True)
 class CyclicFilteredModule:
@@ -214,7 +217,7 @@ def find_superficial(
     module: CyclicFilteredModule,
     order_max: int = 3,
     n_max: int = 24,
-    c_max: int = 6,
+    c_max: int = C_MAX,
 ) -> Optional[SuperficialCertificate]:
     """Search for a monomial superficial element for the module.
 
@@ -223,6 +226,8 @@ def find_superficial(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if order_max < 1:
+        raise ValueError(f"order_max must be at least 1, got {order_max}")
     J, I = module.annihilator, module.filtration_ideal
     if I.is_unit() or I.is_zero():
         raise ValueError("the filtration ideal must be proper and nonzero")

@@ -145,6 +145,38 @@ def box_witnesses(J: MonomialIdeal) -> dict:
     return witnesses
 
 
+def reference_colon_prime_support(gens, w):
+    """Support of (U : w) when that colon is prime, from the colon residues.
+
+    ``gens`` is the antichain of U.  None when some residue is 1 (w in U) or
+    some residue is divisible by no residue that is a single variable.
+    """
+    residues = [loop_mono_colon(g, w) for g in gens]
+    if any(not any(r) for r in residues):
+        return None
+    units = {r.index(1) for r in residues if sum(r) == 1}
+    if any(not any(r[i] for i in units) for r in residues):
+        return None
+    return tuple(sorted(units))
+
+
+def box_colength(I: MonomialIdeal) -> int:
+    """Monomials outside I, counted pointwise over the generator box.
+
+    Meant for ideals holding a pure power of every variable, whose outside
+    points all lie strictly inside the box.
+    """
+    return sum(1 for e in box_points(I.box()) if not member(I, e))
+
+
+def box_h0_length(J: MonomialIdeal) -> int:
+    """Monomials of sat(J) outside J, counted pointwise over the generator box of J."""
+    d = J.ctx.num_vars
+    maximal = MonomialIdeal(J.ctx, tuple(tuple(int(j == i) for j in range(d)) for i in range(d)))
+    saturated = saturation_predicate(J, maximal)
+    return sum(1 for e in box_points(J.box()) if saturated(e) and not member(J, e))
+
+
 def reference_irreducible_decomposition(J: MonomialIdeal) -> tuple:
     """Irredundant irreducible components of J as sorted ``bounds`` tuples, by splitting.
 

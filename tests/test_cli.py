@@ -172,6 +172,22 @@ def test_nmax_below_one_rejected(tmp_path):
             assert text == ""
 
 
+def test_window_and_order_max_below_one_rejected(tmp_path, capsys):
+    cases = (
+        ("ass", "--window", "-2"),
+        ("ass", "--window", "0"),
+        ("powers", "--window", "0"),
+        ("powers", "--order-max", "0"),
+        ("superficial", "--order-max", "-1"),
+    )
+    for command, option, value in cases:
+        code, text = run(tmp_path, command, "--ideal", IDEAL, "--nmax", "3", option, value)
+        assert code == 1, (command, option, value)
+        assert text == ""
+        name = option[2:].replace("-", "_")
+        assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_resource_errors_exit_one(tmp_path, monkeypatch, capsys):
     import monofilt.powers as powers_module
 

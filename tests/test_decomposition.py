@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,8 @@ from monofilt import (
     unit_ideal,
     zero_ideal,
 )
+from monofilt.decomposition import colon_prime_support
+from monofilt.ring import corner_axes, corner_masks, lies_outside
 
 import oracles
 
@@ -159,6 +163,45 @@ def test_decomposition_five_variables():
     ]
     assert tuple(c.bounds for c in comps) == oracles.reference_irreducible_decomposition(J)
     assert intersection_of(ctx, comps) == J
+
+
+def assert_masks_match_residues(J):
+    gens, d = J.generators, J.ctx.num_vars
+    axes = corner_axes(gens, d)
+    masks = corner_masks(gens, axes)
+    for w in product(*axes):
+        assert colon_prime_support(masks, w) == oracles.reference_colon_prime_support(gens, w), w
+        assert lies_outside(masks, w) == (not oracles.member(J, w)), w
+
+
+def grid_supports(J):
+    axes = corner_axes(J.generators, J.ctx.num_vars)
+    masks = corner_masks(J.generators, axes)
+    return {colon_prime_support(masks, w) for w in product(*axes)} - {None}
+
+
+@st.composite
+def any_ideals(draw, max_vars=4, max_gens=6, max_exp=4):
+    """Ideals in 1-4 variables, the zero and unit ideals included."""
+    d = draw(st.integers(1, max_vars))
+    ctx = context(*_NAMES[:d])
+    exps = st.lists(st.integers(0, max_exp), min_size=d, max_size=d).map(tuple)
+    return ideal(ctx, draw(st.lists(exps, max_size=max_gens)))
+
+
+@given(any_ideals())
+def test_mask_kernel_matches_residues_on_the_grid(J):
+    assert_masks_match_residues(J)
+
+
+def test_mask_kernel_degenerate_and_huge(kxy, kxyz):
+    assert_masks_match_residues(zero_ideal(kxyz))
+    assert_masks_match_residues(unit_ideal(kxyz))
+    assert_masks_match_residues(parse_ideal("x^3000, x*y, y^3000", kxy))
+    huge = 2**63 - 1
+    assert_masks_match_residues(parse_ideal(f"x^{huge}*y, y^{huge}*z, x*z^{huge}", kxyz))
+    assert grid_supports(zero_ideal(kxy)) == {()}
+    assert grid_supports(unit_ideal(kxy)) == set()
 
 
 @given(proper_ideals())

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from monofilt import (
     MonomialPrime,
@@ -12,6 +12,8 @@ from monofilt import (
     parse_ideal,
     powers_report,
 )
+
+import oracles
 
 _NAMES = ("x", "y", "z")
 
@@ -85,6 +87,15 @@ def proper_ideals(draw, max_vars=3, max_gens=4, max_exp=3):
         .filter(any)
     )
     return ctx, ideal(ctx, draw(st.lists(exps, min_size=1, max_size=max_gens)))
+
+
+@given(proper_ideals(), st.integers(1, 2))
+@example((context("x", "y", "z"), ideal(context("x", "y", "z"), [(1, 1, 0), (0, 0, 2), (2, 0, 1)])), 1)
+def test_h0_matches_box_count(pair, power):
+    # Powers carry torsion more often than the random ideals themselves.
+    ctx, I = pair
+    J = I**power
+    assert h0_length(J) == oracles.box_h0_length(J)
 
 
 @given(proper_ideals())

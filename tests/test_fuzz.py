@@ -41,8 +41,9 @@ def test_parse_problem_raises_only_input_errors(text):
 
 @given(_inputs)
 def test_cli_exit_codes_without_traceback(text):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["ass", "--ideal", text, "--nmax", "1", "--format", "json"])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    for command in (["ass"], ["powers", "--mode", "naive"], ["epsilon"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(command + ["--ideal", text, "--nmax", "1", "--format", "json"])
+        assert code in (0, 1, 2), command
+        assert "Traceback" not in err.getvalue()

@@ -128,6 +128,7 @@ def test_contains_and_equality(kxy):
 def test_colength(kxy):
     assert (parse_ideal("x, y", kxy) ** 2).colength() == 3
     assert parse_ideal("x^2, y^3", kxy).colength() == 6
+    assert unit_ideal(kxy).colength() == 0
     with pytest.raises(InfiniteLengthError, match="'y'"):
         parse_ideal("x", kxy).colength()
 

@@ -102,6 +102,24 @@ def test_colon_sandwich(pair):
             assert A.contains(mono_mul(g, w))
 
 
+@st.composite
+def artinian_ideals(draw, max_vars=4, max_gens=4, max_exp=3):
+    """Ideals holding a pure power of every variable, so of finite colength."""
+    d = draw(st.integers(1, max_vars))
+    ctx = context(*("x", "y", "z", "w")[:d])
+    exps = st.lists(st.integers(0, max_exp), min_size=d, max_size=d).map(tuple)
+    gens = draw(st.lists(exps, max_size=max_gens))
+    for i in range(d):
+        power = draw(st.integers(1, max_exp + 1))
+        gens.append(tuple(power if j == i else 0 for j in range(d)))
+    return ideal(ctx, gens)
+
+
+@given(artinian_ideals())
+def test_colength_matches_box_count(I):
+    assert I.colength() == oracles.box_colength(I)
+
+
 _exponent_tuples = st.lists(st.integers(0, 6), max_size=4).map(tuple)
 
 
