@@ -9,6 +9,9 @@ configuration; execution details are deliberately left out so identical
 inputs produce byte-identical reports.  Commands run serially: ``--jobs`` is
 accepted for compatibility and ignored, and ``MONOFILT_JOBS`` is not read.
 
+Beyond the input and output flags and ``--nmax``, each command declares only
+the options its handler reads (``_COMMANDS``), and the echo holds just those.
+
 Exit codes: 0 success, 1 bad input or an infeasible request, 2 internal
 certificate failure (an emitted filtration failed re-validation).
 """
@@ -31,9 +34,9 @@ from .closure import (
 from .epsilon import epsilon_estimate, filtration_bound_check
 from .errors import CertificateError, InfeasibleError, MonofiltError
 from .filtration import cm_certificate
-from .powers import ass_stability, powers_report
+from .powers import WINDOW, ass_stability, powers_report
 from .ring import parse_problem, zero_ideal
-from .superficial import C_MAX, CyclicFilteredModule, find_superficial
+from .superficial import C_MAX, ORDER_MAX, CyclicFilteredModule, find_superficial
 
 _FORMATS = ("human", "json", "csv")
 
@@ -45,47 +48,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, *, nmax_default: int):
-    sub.add_argument("--ideal", help="inline input, e.g. 'vars: x,y ; ideal: x^2, x*y'")
-    sub.add_argument("--ideal-file", help="path to a file holding the same input form")
-    sub.add_argument("--nmax", type=int, default=nmax_default, help="largest power to sweep")
-    sub.add_argument("--window", type=int, default=4, help="trailing window for stabilization detection")
-    sub.add_argument("--order-max", type=int, default=3, dest="order_max",
-                     help="largest superficial order to try")
-    sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--format", choices=_FORMATS, default="human")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="accepted for compatibility and ignored; commands run serially")
+# Namespace fields the configuration echo leaves out: the command and the I/O flags.
+_UNECHOED = frozenset(("command", "ideal", "ideal_file", "out", "format", "jobs"))
+
+_OPTIONS = {
+    "--mode": dict(choices=("naive", "theorem", "both"), default="theorem",
+                   help="construction mode; 'both' emits two reports (CSV keeps the theorem table)"),
+    "--window": dict(type=int, default=WINDOW, help="trailing window for stabilization detection"),
+    "--order-max": dict(type=int, default=ORDER_MAX, help="largest superficial order to try"),
+}
+
+# Each command: its --nmax default, its help, and the options its handler reads.
+_COMMANDS = {
+    "powers": (8, "prime filtrations of R/I^n with analyzers", ("--mode", "--window", "--order-max")),
+    "ass": (10, "associated primes of R/I^n per power", ("--window",)),
+    "superficial": (24, "search for a certified superficial element", ("--order-max",)),
+    "closure": (8, "Newton polyhedron and integral closures of powers", ("--window", "--order-max")),
+    "epsilon": (20, "torsion lengths and the epsilon-multiplicity estimate", ("--order-max",)),
+    "cm": (6, "localization certificate for Cohen-Macaulay powers", ("--order-max",)),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="monofilt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"monofilt {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    powers = commands.add_parser("powers", help="prime filtrations of R/I^n with analyzers")
-    _add_common(powers, nmax_default=8)
-    powers.add_argument(
-        "--mode",
-        choices=("naive", "theorem", "both"),
-        default="theorem",
-        help="construction mode; 'both' emits two reports (CSV keeps the theorem table)",
-    )
-
-    ass = commands.add_parser("ass", help="associated primes of R/I^n per power")
-    _add_common(ass, nmax_default=10)
-
-    superficial = commands.add_parser("superficial", help="search for a certified superficial element")
-    _add_common(superficial, nmax_default=24)
-
-    closure = commands.add_parser("closure", help="Newton polyhedron and integral closures of powers")
-    _add_common(closure, nmax_default=8)
-
-    epsilon = commands.add_parser("epsilon", help="torsion lengths and the epsilon-multiplicity estimate")
-    _add_common(epsilon, nmax_default=20)
-
-    cm = commands.add_parser("cm", help="localization certificate for Cohen-Macaulay powers")
-    _add_common(cm, nmax_default=6)
+    # Flags every command takes: where the input comes from and where the report goes.
+    io_flags = argparse.ArgumentParser(add_help=False)
+    io_flags.add_argument("--ideal", help="inline input, e.g. 'vars: x,y ; ideal: x^2, x*y'")
+    io_flags.add_argument("--ideal-file", help="path to a file holding the same input form")
+    io_flags.add_argument("--out", help="write the report to this path instead of stdout")
+    io_flags.add_argument("--format", choices=_FORMATS, default="human")
+    io_flags.add_argument("--jobs", type=int, default=None,
+                          help="accepted for compatibility and ignored; commands run serially")
+    for name, (nmax_default, help_text, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, parents=[io_flags], help=help_text)
+        sub.add_argument("--nmax", type=int, default=nmax_default, help="largest power to sweep")
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -103,15 +103,10 @@ def _load_ideal(args):
 
 
 def _config_echo(args, ctx, I) -> dict:
-    echo = {
-        "vars": list(ctx.variable_names),
-        "ideal": I.generator_strings(),
-        "nmax": args.nmax,
-        "window": args.window,
-        "order_max": args.order_max,
-    }
-    if getattr(args, "mode", None) is not None:
-        echo["mode"] = args.mode
+    """The parsed options of the command, which are exactly those its handler reads."""
+    echo = {name: value for name, value in vars(args).items() if name not in _UNECHOED}
+    echo["vars"] = list(ctx.variable_names)
+    echo["ideal"] = I.generator_strings()
     return echo
 
 
@@ -298,7 +293,7 @@ def cmd_closure(args, ctx, I):
 def cmd_epsilon(args, ctx, I):
     estimate = epsilon_estimate(I, args.nmax)
     check_to = min(args.nmax, 12)
-    report = powers_report(I, check_to, "theorem", window=args.window, order_max=args.order_max)
+    report = powers_report(I, check_to, "theorem", order_max=args.order_max)
     bound = filtration_bound_check(I, check_to, report)
     body = estimate.to_document()
     body["bound_check"] = [
@@ -327,7 +322,7 @@ def cmd_epsilon(args, ctx, I):
 
 
 def cmd_cm(args, ctx, I):
-    report = powers_report(I, args.nmax, "theorem", window=args.window, order_max=args.order_max)
+    report = powers_report(I, args.nmax, "theorem", order_max=args.order_max)
     cert = cm_certificate(I, report.filtrations)
     body = {
         "element": ctx.monomial_str(cert.element),

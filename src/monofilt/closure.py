@@ -19,6 +19,7 @@ from typing import Optional
 
 from .errors import DimensionLimitError
 from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
+from .superficial import TermSystem
 
 _MAX_HULL_VARS = 6
 
@@ -50,7 +51,7 @@ def _rank(rows, d: int) -> int:
 
 
 def _null_vector(rows, d: int) -> "list | None":
-    """Primitive integer spanning vector of the nullspace, when it is a line."""
+    """Primitive integer spanning vector of the nullspace, when it is a line; never zero."""
     mat, pivots = _row_reduce(rows, d)
     if len(pivots) != d - 1:
         return None
@@ -66,7 +67,7 @@ def _null_vector(rows, d: int) -> "list | None":
     common = 0
     for v in ints:
         common = gcd(common, abs(v))
-    return [v // common for v in ints] if common else None
+    return [v // common for v in ints]
 
 
 @dataclass(frozen=True)
@@ -96,40 +97,33 @@ class NewtonPolyhedron:
         }
 
 
-def _candidate_halfspaces(gens, d: int):
+def _facets(gens, d: int):
+    """Sorted (primitive normal, bound) facets of conv(gens) + orthant.
+
+    A hyperplane through k generators along d - k coordinate rays, whose
+    k - 1 differences and d - k rays have rank d - 1, that every generator
+    satisfies with a nonnegative normal, meets the polyhedron in d affinely
+    independent points: it is a facet.
+    """
     rays = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    found = {}
+    found = set()
     for k in range(1, d + 1):
         for gen_subset in combinations(gens, k):
             for ray_subset in combinations(range(d), d - k):
                 v0 = gen_subset[0]
                 rows = [tuple(a - b for a, b in zip(v, v0)) for v in gen_subset[1:]]
                 rows += [rays[i] for i in ray_subset]
-                normal = _null_vector(rows, d) if rows else ([1] if d == 1 else None)
+                normal = _null_vector(rows, d)
                 if normal is None:
                     continue
                 if all(v <= 0 for v in normal):
                     normal = [-v for v in normal]
-                if any(v < 0 for v in normal) or not any(normal):
+                if any(v < 0 for v in normal):
                     continue
                 bound = sum(a * b for a, b in zip(normal, v0))
                 if all(sum(a * b for a, b in zip(normal, v)) >= bound for v in gens):
-                    found[(tuple(normal), bound)] = True
-    return list(found)
-
-
-def _is_facet(halfspace, gens, d: int) -> bool:
-    coeffs, bound = halfspace
-    tight = [v for v in gens if sum(a * b for a, b in zip(coeffs, v)) == bound]
-    if not tight:
-        return False
-    rows = [tuple(a - b for a, b in zip(v, tight[0])) for v in tight[1:]]
-    for i in range(d):
-        if coeffs[i] == 0:
-            rows.append(tuple(1 if j == i else 0 for j in range(d)))
-    if d == 1:
-        return True
-    return _rank(rows, d) == d - 1
+                    found.add((tuple(normal), bound))
+    return tuple(sorted(found))
 
 
 def _vertex_set(gens, facets, d: int):
@@ -155,8 +149,7 @@ def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
             f"polyhedral support is limited to {_MAX_HULL_VARS} variables, got {d}"
         )
     gens = I.generators
-    halfspaces = _candidate_halfspaces(gens, d)
-    facets = tuple(sorted(h for h in halfspaces if _is_facet(h, gens, d)))
+    facets = _facets(gens, d)
     return NewtonPolyhedron(
         ctx=I.ctx,
         generators=gens,
@@ -209,10 +202,10 @@ def noetherian_exponent(I: MonomialIdeal, l_max: int, n_max: int) -> NoetherianE
     """
     failures = []
     for l in range(1, l_max + 1):
-        closed = integral_closure_power(I, l)
+        closed = TermSystem(integral_closure_power(I, l))
         first_bad = None
         for n in range(1, n_max + 1):
-            if closed**n != integral_closure_power(I, l * n):
+            if closed.term(n) != integral_closure_power(I, l * n):
                 first_bad = n
                 break
         if first_bad is None:
@@ -226,8 +219,9 @@ def rees_cofinality_constant(I: MonomialIdeal, m_max: int) -> int:
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     closures = {m: integral_closure_power(I, m) for m in range(1, m_max + 1)}
+    powers = TermSystem(I)
     for k in range(0, m_max + 1):
-        if all((I ** (m - k)).contains_ideal(closures[m]) for m in range(k + 1, m_max + 1)):
+        if all(powers.term(m - k).contains_ideal(closures[m]) for m in range(k + 1, m_max + 1)):
             return k
     return m_max
 

@@ -28,11 +28,12 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class MonomialPrime:
     """The prime generated by the variables listed in ``support`` (strictly increasing).
 
     Empty support is the zero ideal, prime because the ring is a domain.
+    Primes are ordered by support.
     """
 
     support: tuple
@@ -84,9 +85,9 @@ def colon_prime_support(masks, w: Monomial) -> "tuple | None":
     return tuple(units) if covered == full else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IrreducibleComponent:
-    """An ideal generated by pure variable powers: x_i^(a_i) for i in the domain."""
+    """The ideal of pure powers x_i^(a_i) for i in the domain; components order by bounds."""
 
     bounds: tuple  # sorted tuple of (variable index, positive exponent)
 
@@ -115,7 +116,7 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple:
         supp = colon_prime_support(masks, w)
         if supp is not None and all(w[i] == axes[i][-1] for i in range(len(w)) if i not in supp):
             components.append(IrreducibleComponent(tuple((i, w[i] + 1) for i in supp)))
-    return tuple(sorted(components, key=lambda c: c.bounds))
+    return tuple(sorted(components))
 
 
 def _witness_for(gens, d: int) -> dict:
@@ -155,13 +156,8 @@ def associated_primes(J: MonomialIdeal) -> dict:
 
 
 def minimal_primes(J: MonomialIdeal) -> tuple:
-    primes = list(associated_primes(J))
-    minimal = [
-        p
-        for p in primes
-        if not any(q != p and p.contains_prime(q) for q in primes)
-    ]
-    return tuple(sorted(minimal, key=lambda p: p.support))
+    primes = list(associated_primes(J))  # already in prime order
+    return tuple(p for p in primes if not any(q != p and p.contains_prime(q) for q in primes))
 
 
 def dimension(J: MonomialIdeal) -> int:

@@ -2,9 +2,8 @@
 
 The degree-zero local cohomology at the graded maximal ideal is realized as
 sat(J)/J, whose monomials all lie inside the generator box of J, so each
-length is a finite certified count over the corner regions of J.  The
-estimator normalizes by d! / n^d and takes the maximum over a trailing window
-as the limsup proxy.
+length is a difference of two finite colengths.  The estimator normalizes by
+d! / n^d and takes the maximum over a trailing window as the limsup proxy.
 """
 
 from __future__ import annotations
@@ -14,15 +13,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime
-from .ring import (
-    MonomialIdeal,
-    RingContext,
-    corner_axes,
-    corner_masks,
-    corner_regions,
-    ideal,
-    lies_outside,
-)
+from .ring import MonomialIdeal, RingContext, ideal
 from .superficial import TermSystem
 
 
@@ -36,25 +27,20 @@ def h0_length(J: MonomialIdeal) -> int:
     Any monomial of sat(J) outside J has, in every variable, exponent
     strictly below that variable's maximum over the generators of J: a
     witness with a larger exponent would already be divisible by the
-    generator that eventually absorbs it.  That box is the union of the
-    corner regions of J.  Every generator exponent of sat(J) is 0 or one of
-    J, so both memberships are constant on each region and are decided at
-    its least corner, by the mask tables of J and of sat(J), both built on
-    J's axes.
+    generator that eventually absorbs it.  So with B the pure powers at J's
+    generator box, sat(J)/J has the length of (sat(J) + B)/(J + B), which is
+    colength(J + B) - colength(sat(J) + B).  When sat(J) differs from J every
+    variable occurs in J (a variable absent from J is a nonzerodivisor on
+    R/J), so B is proper and both colengths are finite.
     """
     if J.is_unit():
         raise ValueError("R/J is the zero module")
     saturated = J.saturation(_maximal_ideal(J.ctx))
     if saturated == J:
         return 0
-    axes = corner_axes(J.generators, J.ctx.num_vars)
-    inner = corner_masks(J.generators, axes)
-    outer = corner_masks(saturated.generators, axes)
-    return sum(
-        volume
-        for corner, volume in corner_regions(axes)
-        if lies_outside(inner, corner) and not lies_outside(outer, corner)
-    )
+    d = J.ctx.num_vars
+    pure = ideal(J.ctx, [tuple(b if j == i else 0 for j in range(d)) for i, b in enumerate(J.box())])
+    return (J + pure).colength() - (saturated + pure).colength()
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class PrimeFiltration:
 
     def primes(self) -> tuple:
         """Distinct prime factors, in canonical order."""
-        return tuple(sorted({p for _, p in self.steps}, key=lambda p: p.support))
+        return tuple(sorted({p for _, p in self.steps}))
 
     def ledger(self) -> Counter:
         """Multiplicity of each prime among the steps."""
@@ -203,7 +203,7 @@ def cm_certificate(I: MonomialIdeal, filtrations: dict) -> CmCertificate:
     for filtration in filtrations.values():
         extras.update(p for p in filtration.primes() if p not in top)
     if extras:
-        f = prime_avoidance_element(ctx, sorted(extras, key=lambda p: p.support), sorted(top, key=lambda p: p.support))
+        f = prime_avoidance_element(ctx, sorted(extras), sorted(top))
     else:
         f = ctx.unit_monomial()
     per_n = []
@@ -212,11 +212,11 @@ def cm_certificate(I: MonomialIdeal, filtrations: dict) -> CmCertificate:
         ok = all(
             p in top and ctx.num_vars - p.codim() == dim_quotient for p in surviving
         )
-        ledger = tuple(sorted(((p, c) for p, c in surviving.items()), key=lambda item: item[0].support))
+        ledger = tuple(sorted(surviving.items()))
         per_n.append((n, ledger, ok))
     return CmCertificate(
         element=f,
-        minh_primes=tuple(sorted(top, key=lambda p: p.support)),
+        minh_primes=tuple(sorted(top)),
         quotient_dim=dim_quotient,
         per_n=tuple(per_n),
     )

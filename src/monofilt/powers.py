@@ -44,6 +44,7 @@ from .filtration import PrimeFiltration, glue, naive_prime_filtration, validate
 from .ring import Monomial, MonomialIdeal, RingContext, ideal, zero_ideal
 from .superficial import (
     C_MAX,
+    ORDER_MAX,
     CyclicFilteredModule,
     SpliceCertificate,
     SuperficialCertificate,
@@ -51,6 +52,9 @@ from .superficial import (
     search_certificate,
     search_splice_certificate,
 )
+
+# Trailing window of the stabilization detectors by default.
+WINDOW = 4
 
 
 class FiltrationEngine:
@@ -61,7 +65,7 @@ class FiltrationEngine:
         I: MonomialIdeal,
         *,
         term_fn: "Callable[[int], MonomialIdeal] | None" = None,
-        order_max: int = 3,
+        order_max: int = ORDER_MAX,
         verify_to: int = 24,
     ):
         if I.is_zero() or I.is_unit():
@@ -280,8 +284,8 @@ def powers_report(
     n_max: int,
     mode: str = "theorem",
     *,
-    window: int = 4,
-    order_max: int = 3,
+    window: int = WINDOW,
+    order_max: int = ORDER_MAX,
     term_fn: "Callable[[int], MonomialIdeal] | None" = None,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
@@ -318,13 +322,13 @@ def powers_report(
             raise CertificateError(
                 f"filtration of level {n} failed validation at step {verdict.step}: {verdict.reason}"
             )
-        ass = tuple(sorted(associated_primes(ts.term(n)), key=lambda p: p.support))
+        ass = tuple(associated_primes(ts.term(n)))
         ledger = filtration.ledger()
         record = PowerRecord(
             n=n,
             digest=filtration_digest(filtration),
             primes=filtration.primes(),
-            ledger=tuple(sorted(ledger.items(), key=lambda item: item[0].support)),
+            ledger=tuple(sorted(ledger.items())),
             ass=ass,
             fallback=fell_back,
             steps=len(filtration.steps),
@@ -332,7 +336,7 @@ def powers_report(
         records.append(record)
         filtrations[n] = filtration
 
-    union = sorted({p for r in records for p in r.primes}, key=lambda p: p.support)
+    union = sorted({p for r in records for p in r.primes})
     max_period = cert.order if cert is not None else 1
     stabilization = detect_stabilization([r.primes for r in records], window, max_period)
     upper_half = [r for r in records if r.n > n_max // 2]
@@ -390,7 +394,7 @@ class AssStabilityReport:
         }
 
 
-def ass_stability(I: MonomialIdeal, n_max: int, window: int = 4) -> AssStabilityReport:
+def ass_stability(I: MonomialIdeal, n_max: int, window: int = WINDOW) -> AssStabilityReport:
     """Associated primes of R/I^n per level, their union, and the detected onset.
 
     The onset is the first level of the maximal trailing run of constant Ass
@@ -403,11 +407,8 @@ def ass_stability(I: MonomialIdeal, n_max: int, window: int = 4) -> AssStability
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     ts = TermSystem(I)
-    per_n = []
-    for n in range(1, n_max + 1):
-        primes = tuple(sorted(associated_primes(ts.term(n)), key=lambda p: p.support))
-        per_n.append((n, primes))
-    union = sorted({p for _, primes in per_n for p in primes}, key=lambda p: p.support)
+    per_n = [(n, tuple(associated_primes(ts.term(n)))) for n in range(1, n_max + 1)]
+    union = sorted({p for _, primes in per_n for p in primes})
     onset = detect_stabilization([primes for _, primes in per_n], window, 0).get("onset")
     return AssStabilityReport(
         ctx=I.ctx,

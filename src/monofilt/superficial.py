@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ring import Monomial, MonomialIdeal, RingContext, grlex_key, unit_ideal
+from .ring import Monomial, MonomialIdeal, RingContext, unit_ideal
 
 # Largest superficial constant c tried by a certificate search.
 C_MAX = 6
+# Largest order of a candidate element tried by default.
+ORDER_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ class TermSystem:
         return self._sums[key]
 
     def candidates(self, m: int) -> tuple:
-        """Minimal generators of T(m) in grlex order, the superficial candidate pool."""
-        return tuple(sorted(self.term(m).generators, key=grlex_key))
+        """The superficial candidate pool: minimal generators of T(m), grlex-sorted as stored."""
+        return self.term(m).generators
 
 
 def _defining_condition_holds(
@@ -215,7 +217,7 @@ def search_splice_certificate(
 
 def find_superficial(
     module: CyclicFilteredModule,
-    order_max: int = 3,
+    order_max: int = ORDER_MAX,
     n_max: int = 24,
     c_max: int = C_MAX,
 ) -> Optional[SuperficialCertificate]:

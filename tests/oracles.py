@@ -292,6 +292,39 @@ def _gcd(a, b):
     return a
 
 
+def is_facet(halfspace, gens) -> bool:
+    """Whether sum(coeffs * v) >= bound cuts a facet of conv(gens) + orthant.
+
+    The inequality must hold on every generator with equality on some, and
+    the generators where it is tight together with the coordinate rays its
+    coefficients vanish on must span a face of dimension d - 1.
+    """
+    coeffs, bound = halfspace
+    d = len(coeffs)
+    values = [sum(a * b for a, b in zip(coeffs, v)) for v in gens]
+    if any(c < 0 for c in coeffs) or min(values) != bound:
+        return False
+    tight = [v for v, value in zip(gens, values) if value == bound]
+    rows = [tuple(a - b for a, b in zip(v, tight[0])) for v in tight[1:]]
+    rows += [tuple(int(j == i) for j in range(d)) for i in range(d) if coeffs[i] == 0]
+    return _rank(rows) == d - 1
+
+
+def _rank(rows) -> int:
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col] / mat[rank][col]
+            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 def _solve_exact(columns, rhs, size):
     # Solve M x = rhs for the square matrix whose columns are given.
     mat = [[Fraction(columns[j][i]) for j in range(size)] + [Fraction(rhs[i])] for i in range(size)]

@@ -162,14 +162,28 @@ def test_jobs_env_default(tmp_path, monkeypatch):
     assert text == text2
 
 
-def test_nmax_below_one_rejected(tmp_path):
-    for command in ("ass", "superficial"):
+def test_nmax_below_one_rejected(tmp_path, capsys):
+    for command, extra in (("ass", ["--window", "1"]), ("superficial", [])):
         for nmax in ("0", "-3"):
-            code, text = run(
-                tmp_path, command, "--ideal", IDEAL, "--nmax", nmax, "--window", "1"
-            )
+            code, text = run(tmp_path, command, "--ideal", IDEAL, "--nmax", nmax, *extra)
             assert code == 1, (command, nmax)
             assert text == ""
+            assert "n_max must be at least 1" in capsys.readouterr().err
+
+
+def test_options_a_command_does_not_read_are_rejected(capsys):
+    # Each of these options shaped nothing in its command's report.
+    for command, option, value in (
+        ("ass", "--order-max", "3"),
+        ("superficial", "--window", "4"),
+        ("epsilon", "--window", "4"),
+        ("cm", "--window", "4"),
+    ):
+        code = cli.main([command, "--ideal", IDEAL, "--nmax", "2", option, value])
+        assert code == 1, (command, option)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} {value}" in captured.err
 
 
 def test_window_and_order_max_below_one_rejected(tmp_path, capsys):

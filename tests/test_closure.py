@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from monofilt import (
     DimensionLimitError,
@@ -39,6 +40,22 @@ def test_polyhedron_skew_facet(kxy):
     assert ((3, 4), 12) in poly.facets
     for v in ((4, 0), (0, 3)):
         assert sum(a * b for a, b in zip((3, 4), v)) == 12
+
+
+@st.composite
+def proper_ideals(draw, max_vars=4, max_gens=4, max_exp=3):
+    d = draw(st.integers(1, max_vars))
+    ctx = context(*"xyzw"[:d])
+    exps = st.lists(st.integers(0, max_exp), min_size=d, max_size=d).map(tuple).filter(any)
+    return ideal(ctx, draw(st.lists(exps, min_size=1, max_size=max_gens)))
+
+
+@given(proper_ideals())
+def test_polyhedron_inequalities_are_facets(I):
+    poly = newton_polyhedron(I)
+    assert poly.facets
+    for halfspace in poly.facets:
+        assert oracles.is_facet(halfspace, I.generators), halfspace
 
 
 def test_polyhedron_dimension_limit():

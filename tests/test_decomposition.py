@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from monofilt import (
     DegenerateIdealError,
     InfeasibleError,
+    IrreducibleComponent,
     MonomialPrime,
     associated_primes,
     context,
@@ -87,6 +88,13 @@ def test_associated_primes_principal_powers(kxy):
         assert {p.support for p in associated_primes(I**n)} == {(0,)}
 
 
+def test_primes_and_components_order_by_their_tuples():
+    primes = [MonomialPrime(s) for s in ((1,), (0, 1), (), (0,))]
+    assert [p.support for p in sorted(primes)] == [(), (0,), (0, 1), (1,)]
+    components = [IrreducibleComponent(b) for b in (((1, 2),), ((0, 3),), ((0, 1), (1, 1)))]
+    assert [c.bounds for c in sorted(components)] == [((0, 1), (1, 1)), ((0, 3),), ((1, 2),)]
+
+
 def test_minimal_primes_dimension_minh(kxyz):
     J = parse_ideal("x*z, y*z", kxyz)
     assert {p.support for p in minimal_primes(J)} == {(2,), (0, 1)}
@@ -133,6 +141,14 @@ def proper_ideals(draw, max_vars=3, max_gens=4, max_exp=3):
 def test_components_intersect_to_input(pair):
     ctx, J = pair
     assert intersection_of(ctx, irreducible_decomposition(J)) == J
+
+
+@given(proper_ideals())
+def test_ass_and_minimal_primes_come_in_prime_order(pair):
+    ctx, J = pair
+    primes = list(associated_primes(J))
+    assert primes == sorted(primes)
+    assert list(minimal_primes(J)) == sorted(minimal_primes(J))
 
 
 @given(proper_ideals(max_vars=4, max_gens=6, max_exp=4))
