@@ -133,14 +133,15 @@ class FiltrationEngine:
         expected = left_ann + self.ts.term(n - m)
         if base.colon_monomial(x) != expected:
             return self._fallback(J, n, base, "colon identity failed on recheck at this level")
+        right_ann = J.add_monomial(x)
         left, left_fb = self._build(left_ann, n - m)
-        right, right_fb = self._build(J.add_monomial(x), n)
+        right, right_fb = self._build(right_ann, n)
         glued = glue(base, x, left, right)
         self.glue_nodes[(J, n)] = {
             "multiplier": x,
             "order": m,
             "left": (left_ann, max(n - m, 0)),
-            "right": (J.add_monomial(x), n),
+            "right": (right_ann, n),
         }
         return (glued, left_fb or right_fb)
 

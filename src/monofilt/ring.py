@@ -5,6 +5,13 @@ ring variable.  A :class:`MonomialIdeal` stores its minimal generators as a
 divisibility antichain, kept in graded-lexicographic order so that every
 operation is deterministic and results can be compared for equality directly.
 All values are immutable; operations are pure functions.
+
+Generators from outside go through :func:`minimal_generators`, which checks
+each monomial, sorts and prunes.  Operations whose operands are already
+canonical skip that: a sum merges the two antichains and an insert merges a
+singleton, each in |A| * |B| divisibility tests; a colon by a monomial checks
+that one monomial and prunes its sorted quotients.  Both ways share one
+pruning loop.
 """
 
 from __future__ import annotations
@@ -113,26 +120,69 @@ def context(*names: str) -> RingContext:
     return RingContext(tuple(names))
 
 
-def minimal_generators(ctx: RingContext, gens: Iterable[Monomial]) -> tuple:
-    """Return the divisibility antichain generating the same ideal, grlex-sorted."""
-    d = ctx.num_vars
-    seen = set()
-    ordered = []
-    for g in gens:
-        g = tuple(g)
-        if len(g) != d:
-            raise ValueError(f"monomial {g} has wrong length for {d} variables")
-        if any(v < 0 for v in g):
-            raise ValueError(f"monomial {g} has a negative exponent")
-        if g not in seen:
-            seen.add(g)
-            ordered.append(g)
-    ordered.sort(key=grlex_key)
+def _checked(g, d: int) -> Monomial:
+    """g as a tuple, once it is known to hold d nonnegative integer exponents."""
+    g = tuple(g)
+    if len(g) != d:
+        raise ValueError(f"monomial {g} has wrong length for {d} variables")
+    for v in g:
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"monomial {g} needs nonnegative integer exponents")
+    return g
+
+
+def _prune(ordered: list) -> tuple:
+    """Drop each monomial that an earlier one divides.
+
+    In grlex order a divisor precedes every other multiple of it, so on a
+    sorted list this leaves the minimal generators, a repeat dropping out as
+    a multiple of its first copy.
+    """
     kept = []
     for g in ordered:
-        if not any(mono_divides(k, g) for k in kept):
+        for k in kept:
+            if all(map(le, k, g)):
+                break
+        else:
             kept.append(g)
     return tuple(kept)
+
+
+def _merge(A: tuple, B: tuple) -> tuple:
+    """Minimal generators of (A) + (B), for two grlex-sorted antichains A and B.
+
+    a in A stays unless some b in B divides it, equality included; b in B
+    stays unless a surviving a divides it, so a shared generator stays once.
+    That is |A| * |B| divisibility tests, where pruning the union would take
+    about (|A| + |B|)^2 / 2.
+    """
+    kept = []
+    for a in A:
+        for b in B:
+            if all(map(le, b, a)):
+                break
+        else:
+            kept.append(a)
+    added = []
+    for b in B:
+        for a in kept:
+            if all(map(le, a, b)):
+                break
+        else:
+            added.append(b)
+    kept += added
+    kept.sort(key=grlex_key)
+    return tuple(kept)
+
+
+def minimal_generators(ctx: RingContext, gens: Iterable[Monomial]) -> tuple:
+    """Return the divisibility antichain generating the same ideal, grlex-sorted.
+
+    The one entry that checks its monomials: use it for generators that are
+    not already a canonical antichain of this ring.
+    """
+    d = ctx.num_vars
+    return _prune(sorted({_checked(g, d) for g in gens}, key=grlex_key))
 
 
 @dataclass(frozen=True)
@@ -175,10 +225,14 @@ class MonomialIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return MonomialIdeal(self.ctx, minimal_generators(self.ctx, self.generators + other.generators))
+        if other.ctx.num_vars != self.ctx.num_vars:
+            raise ValueError(
+                f"cannot add ideals over {self.ctx.num_vars} and {other.ctx.num_vars} variables"
+            )
+        return MonomialIdeal(self.ctx, _merge(self.generators, other.generators))
 
     def add_monomial(self, w: Monomial) -> "MonomialIdeal":
-        return MonomialIdeal(self.ctx, minimal_generators(self.ctx, self.generators + (tuple(w),)))
+        return MonomialIdeal(self.ctx, _merge(self.generators, (_checked(w, self.ctx.num_vars),)))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         prods = [mono_mul(a, b) for a in self.generators for b in other.generators]
@@ -197,8 +251,9 @@ class MonomialIdeal:
         return MonomialIdeal(self.ctx, minimal_generators(self.ctx, lcms))
 
     def colon_monomial(self, w: Monomial) -> "MonomialIdeal":
-        quots = [mono_colon(g, w) for g in self.generators]
-        return MonomialIdeal(self.ctx, minimal_generators(self.ctx, quots))
+        w = _checked(w, self.ctx.num_vars)
+        quots = {mono_colon(g, w) for g in self.generators}
+        return MonomialIdeal(self.ctx, _prune(sorted(quots, key=grlex_key)))
 
     def colon(self, other: Union["MonomialIdeal", Monomial]) -> "MonomialIdeal":
         """(self : other); colon by an ideal intersects the colons by its generators."""

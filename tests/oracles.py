@@ -365,6 +365,27 @@ def loop_grlex_key(e):
     return (sum(e), tuple(-v for v in e))
 
 
+def reference_minimal_generators(d, gens) -> tuple:
+    """Minimal generators of a raw generator list over d variables, grlex-sorted.
+
+    Checks every monomial, drops repeats, sorts, then keeps each monomial that
+    no kept one divides: the quadratic form the ring's merges must agree with.
+    """
+    ordered = []
+    for g in gens:
+        g = tuple(g)
+        if len(g) != d or any(v < 0 for v in g):
+            raise ValueError(f"monomial {g} is not an exponent vector over {d} variables")
+        if g not in ordered:
+            ordered.append(g)
+    ordered.sort(key=grlex)
+    kept = []
+    for g in ordered:
+        if not any(loop_mono_divides(k, g) for k in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
 def reference_validate(filtration) -> tuple:
     """The three-loop chain check that ``validate`` must agree with, as (ok, step, reason).
 

@@ -102,6 +102,26 @@ def test_colon_examples(kxy):
     assert oracles.agrees(A.colon((1, 0)), oracles.colon_monomial_predicate(A, (1, 0)), A.box())
 
 
+@pytest.mark.parametrize("w", [(1,), (1, 0, 0), (-1, 0), (0, -2)])
+def test_monomial_operand_is_checked(kxy, w):
+    A = parse_ideal("x^2, y", kxy)
+    with pytest.raises(ValueError):
+        A.colon_monomial(w)
+    with pytest.raises(ValueError):
+        A.add_monomial(w)
+
+
+def test_sum_needs_one_ring(kxy):
+    A = parse_ideal("x^2, y", kxy)
+    B = ideal(context("x", "y", "z"), [(1, 0, 0)])
+    with pytest.raises(ValueError):
+        A + B
+    with pytest.raises(ValueError):
+        B + A
+    with pytest.raises(ValueError):
+        A + zero_ideal(B.ctx)
+
+
 def test_saturation_examples(kxy):
     m = parse_ideal("x, y", kxy)
     assert parse_ideal("x^2, x*y", kxy).saturation(m) == parse_ideal("x", kxy)

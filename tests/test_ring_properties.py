@@ -103,6 +103,61 @@ def test_colon_sandwich(pair):
 
 
 @st.composite
+def related_operands(draw, max_vars=4, max_gens=5, max_exp=3):
+    """An ideal A, a second ideal B and a monomial w over 1-4 variables.
+
+    Either ideal may be zero or the unit ideal; B may share generators with A,
+    contain A or lie inside it.
+    """
+    d = draw(st.integers(1, max_vars))
+    ctx = context(*("x", "y", "z", "w")[:d])
+    exps = st.lists(st.integers(0, max_exp), min_size=d, max_size=d).map(tuple)
+    gens = st.one_of(st.just([]), st.just([(0,) * d]), st.lists(exps, max_size=max_gens))
+    A = ideal(ctx, draw(gens))
+    shared = draw(st.lists(st.sampled_from(A.generators), max_size=3)) if A.generators else []
+    relation = draw(st.sampled_from(("free", "shared", "contains A", "inside A")))
+    if relation == "free":
+        B = ideal(ctx, draw(gens))
+    elif relation == "shared":
+        B = ideal(ctx, shared + draw(gens))
+    elif relation == "contains A":
+        B = ideal(ctx, list(A.generators) + draw(gens))
+    else:
+        B = ideal(ctx, [mono_mul(g, draw(exps)) for g in shared])
+    return A, B, draw(exps)
+
+
+def _reference_meet(d, A_gens, B_gens):
+    return oracles.reference_minimal_generators(
+        d, [oracles.loop_mono_lcm(a, b) for a in A_gens for b in B_gens]
+    )
+
+
+@given(related_operands())
+def test_operations_match_reference_antichain(operands):
+    A, B, w = operands
+    d = A.ctx.num_vars
+    ref = oracles.reference_minimal_generators
+    assert (A + B).generators == ref(d, A.generators + B.generators)
+    assert A.add_monomial(w).generators == ref(d, A.generators + (w,))
+    quotients = [oracles.loop_mono_colon(g, w) for g in A.generators]
+    assert A.colon_monomial(w).generators == ref(d, quotients)
+    assert (A * B).generators == ref(
+        d, [oracles.loop_mono_mul(a, b) for a in A.generators for b in B.generators]
+    )
+    assert A.intersect(B).generators == _reference_meet(d, A.generators, B.generators)
+    colon = saturation = ((0,) * d,)
+    for b in B.generators:
+        quotients = ref(d, [oracles.loop_mono_colon(g, b) for g in A.generators])
+        colon = _reference_meet(d, colon, quotients)
+        dropped = ref(d, [tuple(0 if b[i] else v for i, v in enumerate(g)) for g in A.generators])
+        saturation = _reference_meet(d, saturation, dropped)
+    assert A.colon(B).generators == colon
+    if B.generators:
+        assert A.saturation(B).generators == saturation
+
+
+@st.composite
 def artinian_ideals(draw, max_vars=4, max_gens=4, max_exp=3):
     """Ideals holding a pure power of every variable, so of finite colength."""
     d = draw(st.integers(1, max_vars))
