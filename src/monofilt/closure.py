@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import DimensionLimitError
 from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
-from .superficial import TermSystem
+from .superficial import TermSystem, cofinality_table
 
 _MAX_HULL_VARS = 6
 
@@ -44,10 +44,6 @@ def _row_reduce(rows, d: int):
                 mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
         pivots.append(col)
     return mat, pivots
-
-
-def _rank(rows, d: int) -> int:
-    return len(_row_reduce(rows, d)[1])
 
 
 def _null_vector(rows, d: int) -> "list | None":
@@ -131,7 +127,7 @@ def _vertex_set(gens, facets, d: int):
     for v in gens:
         rows = [coeffs for coeffs, bound in facets if sum(a * b for a, b in zip(coeffs, v)) == bound]
         rows += [tuple(1 if j == i else 0 for j in range(d)) for i in range(d) if v[i] == 0]
-        if _rank(rows, d) == d:
+        if len(_row_reduce(rows, d)[1]) == d:  # full rank
             vertices.append(v)
     return tuple(sorted(vertices))
 
@@ -218,12 +214,8 @@ def rees_cofinality_constant(I: MonomialIdeal, m_max: int) -> int:
     """Least k with closure(I^m) contained in I^(m-k) for all k < m <= m_max."""
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
-    closures = {m: integral_closure_power(I, m) for m in range(1, m_max + 1)}
-    powers = TermSystem(I)
-    for k in range(0, m_max + 1):
-        if all(powers.term(m - k).contains_ideal(closures[m]) for m in range(k + 1, m_max + 1)):
-            return k
-    return m_max
+    table = cofinality_table(I, m_max, term_fn=lambda m: integral_closure_power(I, m))
+    return max([0] + [m - j for m, j in enumerate(table, 1)])
 
 
 def closure_powers_report(I: MonomialIdeal, n_max: int, **kwargs):

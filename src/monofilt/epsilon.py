@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime
-from .ring import MonomialIdeal, RingContext, ideal
+from .ring import MonomialIdeal, ideal
 from .superficial import TermSystem
-
-
-def _maximal_ideal(ctx: RingContext) -> MonomialIdeal:
-    return ideal(ctx, [ctx.variable(i) for i in range(ctx.num_vars)])
 
 
 def h0_length(J: MonomialIdeal) -> int:
@@ -35,10 +31,10 @@ def h0_length(J: MonomialIdeal) -> int:
     """
     if J.is_unit():
         raise ValueError("R/J is the zero module")
-    saturated = J.saturation(_maximal_ideal(J.ctx))
+    d = J.ctx.num_vars
+    saturated = J.saturation(MonomialPrime(tuple(range(d))).as_ideal(J.ctx))
     if saturated == J:
         return 0
-    d = J.ctx.num_vars
     pure = ideal(J.ctx, [tuple(b if j == i else 0 for j in range(d)) for i, b in enumerate(J.box())])
     return (J + pure).colength() - (saturated + pure).colength()
 

@@ -6,12 +6,12 @@ divisibility antichain, kept in graded-lexicographic order so that every
 operation is deterministic and results can be compared for equality directly.
 All values are immutable; operations are pure functions.
 
-Generators from outside go through :func:`minimal_generators`, which checks
-each monomial, sorts and prunes.  Operations whose operands are already
-canonical skip that: a sum merges the two antichains and an insert merges a
-singleton, each in |A| * |B| divisibility tests; a colon by a monomial checks
-that one monomial and prunes its sorted quotients.  Both ways share one
-pruning loop.
+Raw monomials are checked once, by :func:`minimal_generators` (behind
+:func:`ideal` and the parser); a monomial operand of an insert or a colon is
+checked in O(d).  Every operation on two ideals first checks that they share
+a ring, variable names included.  Results built from canonical operands are
+trusted: sums and inserts merge antichains in |A| * |B| divisibility tests,
+and every other operation sorts and prunes its derived monomials unchecked.
 """
 
 from __future__ import annotations
@@ -175,14 +175,18 @@ def _merge(A: tuple, B: tuple) -> tuple:
     return tuple(kept)
 
 
+def _canonical(gens: Iterable[Monomial]) -> tuple:
+    """Minimal generators of monomials already known to fit the ring, grlex-sorted."""
+    return _prune(sorted(set(gens), key=grlex_key))
+
+
 def minimal_generators(ctx: RingContext, gens: Iterable[Monomial]) -> tuple:
     """Return the divisibility antichain generating the same ideal, grlex-sorted.
 
-    The one entry that checks its monomials: use it for generators that are
-    not already a canonical antichain of this ring.
+    The one entry that checks its monomials: use it for generators from
+    outside the ring's own arithmetic.
     """
-    d = ctx.num_vars
-    return _prune(sorted({_checked(g, d) for g in gens}, key=grlex_key))
+    return _canonical(_checked(g, ctx.num_vars) for g in gens)
 
 
 @dataclass(frozen=True)
@@ -220,23 +224,27 @@ class MonomialIdeal:
         return any(mono_divides(g, w) for g in self.generators)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
+        self._same_ring(other)
         return all(self.contains(g) for g in other.generators)
 
     # -- arithmetic --------------------------------------------------------
 
+    def _same_ring(self, other: "MonomialIdeal") -> None:
+        if other.ctx != self.ctx:
+            rings = [f"k[{','.join(c.variable_names)}]" for c in (self.ctx, other.ctx)]
+            raise ValueError(f"the operands lie in different rings: {rings[0]} and {rings[1]}")
+
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if other.ctx.num_vars != self.ctx.num_vars:
-            raise ValueError(
-                f"cannot add ideals over {self.ctx.num_vars} and {other.ctx.num_vars} variables"
-            )
+        self._same_ring(other)
         return MonomialIdeal(self.ctx, _merge(self.generators, other.generators))
 
     def add_monomial(self, w: Monomial) -> "MonomialIdeal":
         return MonomialIdeal(self.ctx, _merge(self.generators, (_checked(w, self.ctx.num_vars),)))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        prods = [mono_mul(a, b) for a in self.generators for b in other.generators]
-        return MonomialIdeal(self.ctx, minimal_generators(self.ctx, prods))
+        self._same_ring(other)
+        prods = (mono_mul(a, b) for a in self.generators for b in other.generators)
+        return MonomialIdeal(self.ctx, _canonical(prods))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if n < 0:
@@ -247,18 +255,19 @@ class MonomialIdeal:
         return result
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        lcms = [mono_lcm(a, b) for a in self.generators for b in other.generators]
-        return MonomialIdeal(self.ctx, minimal_generators(self.ctx, lcms))
+        self._same_ring(other)
+        lcms = (mono_lcm(a, b) for a in self.generators for b in other.generators)
+        return MonomialIdeal(self.ctx, _canonical(lcms))
 
     def colon_monomial(self, w: Monomial) -> "MonomialIdeal":
         w = _checked(w, self.ctx.num_vars)
-        quots = {mono_colon(g, w) for g in self.generators}
-        return MonomialIdeal(self.ctx, _prune(sorted(quots, key=grlex_key)))
+        return MonomialIdeal(self.ctx, _canonical(mono_colon(g, w) for g in self.generators))
 
     def colon(self, other: Union["MonomialIdeal", Monomial]) -> "MonomialIdeal":
         """(self : other); colon by an ideal intersects the colons by its generators."""
         if isinstance(other, tuple):
             return self.colon_monomial(other)
+        self._same_ring(other)
         result = unit_ideal(self.ctx)
         for b in other.generators:
             result = result.intersect(self.colon_monomial(b))
@@ -269,17 +278,18 @@ class MonomialIdeal:
 
         Colon by ever higher powers of b sets the exponents on the support of b to 0.
         """
+        self._same_ring(other)
         if other.is_zero():
             raise ValueError("saturation by the zero ideal is undefined")
         result = unit_ideal(self.ctx)
         for b in other.generators:
-            dropped = [tuple(0 if b[i] else v for i, v in enumerate(g)) for g in self.generators]
-            result = result.intersect(MonomialIdeal(self.ctx, minimal_generators(self.ctx, dropped)))
+            dropped = (tuple(0 if b[i] else v for i, v in enumerate(g)) for g in self.generators)
+            result = result.intersect(MonomialIdeal(self.ctx, _canonical(dropped)))
         return result
 
     def radical(self) -> "MonomialIdeal":
-        squarefree = [tuple(min(v, 1) for v in g) for g in self.generators]
-        return MonomialIdeal(self.ctx, minimal_generators(self.ctx, squarefree))
+        squarefree = (tuple(min(v, 1) for v in g) for g in self.generators)
+        return MonomialIdeal(self.ctx, _canonical(squarefree))
 
     def colength(self) -> int:
         """Number of monomials outside the ideal, when finite.

@@ -92,7 +92,9 @@ class TermSystem:
             return self._terms[0]
         if n not in self._terms:
             if self._term_fn is None:
-                self._terms[n] = self.term(n - 1) * self.I
+                # Ordinary powers are cached for 0..top; fill the missing ones upward.
+                for k in range(len(self._terms), n + 1):
+                    self._terms[k] = self._terms[k - 1] * self.I
             else:
                 self._terms[n] = self._term_fn(n)
         return self._terms[n]
@@ -103,10 +105,6 @@ class TermSystem:
         if key not in self._sums:
             self._sums[key] = self.term(n) + J
         return self._sums[key]
-
-    def candidates(self, m: int) -> tuple:
-        """The superficial candidate pool: minimal generators of T(m), grlex-sorted as stored."""
-        return self.term(m).generators
 
 
 def _defining_condition_holds(
@@ -127,9 +125,10 @@ def _colon_identity_holds(ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int,
 def colon_threshold_for(
     ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, n_max: int
 ) -> Optional[int]:
-    """Least N with (T(n) + J) : x = (J : x) + T(n - m) for all N <= n <= n_max."""
-    if not ts.term(m).contains(x):
-        raise ValueError("candidate element does not lie in the required term ideal")
+    """Least N with (T(n) + J) : x = (J : x) + T(n - m) for all N <= n <= n_max.
+
+    x must lie in T(m); callers pass a generator of T(m) or check first.
+    """
     threshold = None
     for n in range(1, n_max + 1):
         if _colon_identity_holds(ts, J, x, m, n):
@@ -141,10 +140,10 @@ def colon_threshold_for(
 
 
 def _scan(ts: TermSystem, J: MonomialIdeal, order_max: int):
-    # Candidate (order, element) pairs in scan order: order, then grlex.
-    # Candidates in J act as zero on the module and are skipped.
+    # Candidate (order, element) pairs in scan order: order, then grlex, as
+    # T(m) stores its generators.  Candidates in J act as zero and are skipped.
     for m in range(1, order_max + 1):
-        for x in ts.candidates(m):
+        for x in ts.term(m).generators:
             if not J.contains(x):
                 yield m, x
 
@@ -244,6 +243,8 @@ def colon_threshold(
 ) -> Optional[int]:
     """Public wrapper over the threshold scan for ordinary powers."""
     ts = TermSystem(module.filtration_ideal)
+    if not ts.term(m).contains(x):
+        raise ValueError("candidate element does not lie in the required term ideal")
     return colon_threshold_for(ts, module.annihilator, x, m, n_max)
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from monofilt.closure import integral_closure_power
 from monofilt.ring import MonomialIdeal, context, ideal
 
 
@@ -284,6 +285,15 @@ def closure_witness(gens, n, point):
         if best is None or k < best:
             best = k
     return best
+
+
+def reference_rees_cofinality_constant(I: MonomialIdeal, m_max: int) -> int:
+    """Least k with closure(I^m) in I^(m-k) for all k < m <= m_max, by trying each k in turn."""
+    closures = {m: integral_closure_power(I, m) for m in range(1, m_max + 1)}
+    for k in range(0, m_max + 1):
+        if all((I ** (m - k)).contains_ideal(closures[m]) for m in range(k + 1, m_max + 1)):
+            return k
+    return m_max
 
 
 def _gcd(a, b):

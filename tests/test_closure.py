@@ -132,6 +132,11 @@ def test_rees_constant(kxy):
     assert rees_cofinality_constant(parse_ideal("x^4, x*y, y^4", kxy), 12) <= 6
 
 
+@given(proper_ideals(max_vars=3, max_gens=3, max_exp=3), st.integers(1, 7))
+def test_rees_constant_matches_reference(I, m_max):
+    assert rees_cofinality_constant(I, m_max) == oracles.reference_rees_cofinality_constant(I, m_max)
+
+
 def test_closure_report_pure_cube(kxy):
     I = parse_ideal("x^3, y^3", kxy)
     rep = closure_powers_report(I, 6)

@@ -10,6 +10,7 @@ from monofilt import (
     unit_ideal,
     zero_ideal,
 )
+from monofilt import ring
 from monofilt.ring import grlex_key, minimal_generators
 
 import oracles
@@ -111,15 +112,51 @@ def test_monomial_operand_is_checked(kxy, w):
         A.add_monomial(w)
 
 
-def test_sum_needs_one_ring(kxy):
-    A = parse_ideal("x^2, y", kxy)
-    B = ideal(context("x", "y", "z"), [(1, 0, 0)])
-    with pytest.raises(ValueError):
-        A + B
-    with pytest.raises(ValueError):
-        B + A
-    with pytest.raises(ValueError):
-        A + zero_ideal(B.ctx)
+BINARY_OPERATIONS = {
+    "sum": lambda A, B: A + B,
+    "product": lambda A, B: A * B,
+    "intersect": lambda A, B: A.intersect(B),
+    "colon": lambda A, B: A.colon(B),
+    "saturation": lambda A, B: A.saturation(B),
+    "contains_ideal": lambda A, B: A.contains_ideal(B),
+}
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("x", "y", "z")], ids=["ab", "xyz"])
+@pytest.mark.parametrize("operation", BINARY_OPERATIONS)
+def test_operations_need_one_ring(kxy, operation, names):
+    # Same variable count with other names, and one variable more: both are
+    # other rings, in either operand order and against the zero ideal too.
+    op = BINARY_OPERATIONS[operation]
+    A = parse_ideal("x^2", kxy)
+    other = context(*names)
+    B = ideal(other, [other.variable(1)])
+    for left, right in ((A, B), (B, A), (A, zero_ideal(other))):
+        with pytest.raises(ValueError, match="different rings") as err:
+            op(left, right)
+        assert "k[x,y]" in str(err.value) and f"k[{','.join(names)}]" in str(err.value)
+
+
+def test_results_from_canonical_operands_are_not_rechecked(kxy, monkeypatch):
+    A = parse_ideal("x^3, x*y^2, y^4", kxy)
+    B = parse_ideal("x^2*y, y^3", kxy)
+    X = parse_ideal("x", kxy)
+    pairs = [(a, b) for a in A.generators for b in B.generators]
+    ref = oracles.reference_minimal_generators
+    product = ref(2, [tuple(map(sum, zip(a, b))) for a, b in pairs])
+    lcms = ref(2, [oracles.loop_mono_lcm(a, b) for a, b in pairs])
+    checked = []
+    original = ring._checked
+    monkeypatch.setattr(ring, "_checked", lambda g, d: checked.append(g) or original(g, d))
+    assert (A * B).generators == product
+    assert A.intersect(B).generators == lcms
+    assert B.saturation(X).generators == ((0, 1),)
+    assert A.radical().generators == ((1, 0), (0, 1))
+    assert checked == []
+    for g in [(1,), (1, 0, 0), (-1, 0)]:
+        with pytest.raises(ValueError):
+            ideal(kxy, [g])
+    assert len(checked) == 3
 
 
 def test_saturation_examples(kxy):

@@ -64,6 +64,11 @@ def test_colon_threshold_requires_membership(kxy):
         colon_threshold(M, (0, 1), 1, 10)  # y is not in the ideal
 
 
+def test_term_fills_powers_without_recursion(kxy):
+    # One missing level per frame would pass the default recursion limit.
+    assert TermSystem(parse_ideal("x", kxy)).term(3000) == ideal(kxy, [(3000, 0)])
+
+
 def test_colon_identity_regular_case(kxy):
     # J = 0 makes the identity read I^n : x = I^(n-1) literally.
     I = parse_ideal("x, y", kxy)
