@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .closure import (
+    ClosureChain,
     NewtonPolyhedron,
     closure_powers_report,
     integral_closure_power,

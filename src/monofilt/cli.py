@@ -26,6 +26,7 @@ import sys
 
 from . import __version__
 from .closure import (
+    ClosureChain,
     closure_powers_report,
     newton_polyhedron,
     noetherian_exponent,
@@ -259,9 +260,13 @@ def cmd_superficial(args, ctx, I):
 
 def cmd_closure(args, ctx, I):
     poly = newton_polyhedron(I)
-    exponent = noetherian_exponent(I, l_max=4, n_max=min(args.nmax, 6))
-    rees = rees_cofinality_constant(I, m_max=args.nmax)
-    report = closure_powers_report(I, args.nmax, window=args.window, order_max=args.order_max)
+    # One chain of closures serves every analysis of this command.
+    closures = ClosureChain(I)
+    exponent = noetherian_exponent(I, l_max=4, n_max=min(args.nmax, 6), closures=closures)
+    rees = rees_cofinality_constant(I, m_max=args.nmax, closures=closures)
+    report = closure_powers_report(
+        I, args.nmax, window=args.window, order_max=args.order_max, closures=closures
+    )
     body = {
         "polyhedron": poly.serialize(),
         # each filtration of the closure sweep has closure(I^n) as its base

@@ -1,11 +1,34 @@
 """Newton polyhedra and integral closures of powers of monomial ideals.
 
-The Newton polyhedron is the convex hull of the generator exponents plus the
-nonnegative orthant.  Its facets are computed once per ideal by exact
-rational elimination over generator/ray subsets, and stored with integer
-coefficients; the integral closure of the n-th power is then the ideal of
-lattice points of the n-fold dilation, read off the stored inequalities with
-no further geometry.
+The Newton polyhedron NP(I) is the convex hull of the generator exponents
+plus the nonnegative orthant.  Its facets are computed once per ideal by
+exact rational elimination over generator/ray subsets, and stored with
+integer coefficients.  The integral closure of I^n is the monomial ideal of
+the lattice points of the dilation n * NP(I) (Huneke-Swanson, *Integral
+Closure of Ideals, Rings, and Modules*, 2006, section 1.4).
+
+Only the first few closures need that geometry.  For a monomial ideal I in d
+variables,
+
+    closure(I^(n+1)) = I * closure(I^n)   for every n >= d - 1.
+
+Proof.  The product always lies in the closure.  Conversely let a be a
+lattice point of (n+1) * NP(I).  Lower one coordinate of a until the point
+a' reaches the boundary of (n+1) * NP(I); then a' lies on a facet
+c . x = (n+1) * b with c >= 0.  Write a' = sum(l_j * g_j) + s with l, s >= 0
+and sum(l_j) = n + 1.  Every g_j used lies on the facet and s is supported
+where c vanishes, so the columns (g_j, 1) and (e_i, 0) of this system span
+at most a d-dimensional space, and a basic solution has at most d nonzero
+l_j (Caratheodory).  Some l_j is then at least (n+1)/d >= 1, so
+a >= a' >= g_j and a - g_j dominates a combination of weight n: it lies in
+closure(I^n), and a lies in I * closure(I^n).
+
+The bound is sharp: closure((x^3, y^3)) is not (x^3, y^3), and for
+I = (x^3, y^3, z^3) closure(I^2) is not I * closure(I).  Reid, Roberts and
+Vitulli (Comm. Algebra 31, 2003) use the same bound to decide normality of
+a monomial ideal from its powers below d.  So :class:`ClosureChain` scans
+the lattice points of the dilation only for n < max(d, 2) and multiplies by
+I above that.
 """
 
 from __future__ import annotations
@@ -18,7 +41,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import DimensionLimitError
-from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
+from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides, unit_ideal
 from .superficial import TermSystem, cofinality_table
 
 _MAX_HULL_VARS = 6
@@ -157,12 +180,15 @@ def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
 def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """Integral closure of I^n: minimal lattice points of the n-fold dilation.
 
-    Minimal members have each coordinate at most n times the largest exponent
-    of that variable among the generators, so the scan over that box with
-    divisibility pruning is exhaustive.
+    Below n = max(d, 2) the lattice points are scanned: minimal members have
+    each coordinate at most n times the largest exponent of that variable
+    among the generators, so the scan over that box with divisibility pruning
+    is exhaustive.  Higher powers come from a :class:`ClosureChain`.
     """
     if n < 1:
         raise ValueError("the power must be at least 1")
+    if n >= _scan_below(I):
+        return ClosureChain(I)(n)
     poly = newton_polyhedron(I)
     box = tuple(v * n for v in I.box())
     kept = []
@@ -172,6 +198,43 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
         if poly.contains_point(p, scale=n):
             kept.append(p)
     return MonomialIdeal(I.ctx, tuple(kept))
+
+
+def _scan_below(I: MonomialIdeal) -> int:
+    # The first power that I times the previous closure gives (module docstring).
+    return max(I.ctx.num_vars, 2)
+
+
+class ClosureChain:
+    """The closures closure(I^n), n >= 0, of one ideal, memoized and built upward.
+
+    Powers below max(d, 2) are scanned by :func:`integral_closure_power`;
+    each later one is I times the one before.  A chain lives as long as its
+    caller keeps it: one per command, never per process.
+    """
+
+    def __init__(self, I: MonomialIdeal):
+        self.I = I
+        self._closures = [unit_ideal(I.ctx)]
+
+    def __call__(self, n: int) -> MonomialIdeal:
+        if n < 0:
+            raise ValueError("the power must be nonnegative")
+        closures = self._closures
+        for k in range(len(closures), n + 1):
+            if k < _scan_below(self.I):
+                closures.append(integral_closure_power(self.I, k))
+            else:
+                closures.append(self.I * closures[k - 1])
+        return closures[n]
+
+
+def _chain_for(I: MonomialIdeal, closures: "ClosureChain | None") -> ClosureChain:
+    if closures is None:
+        return ClosureChain(I)
+    if closures.I != I:
+        raise ValueError("the closure chain belongs to another ideal")
+    return closures
 
 
 @dataclass(frozen=True)
@@ -190,18 +253,21 @@ class NoetherianExponentResult:
         }
 
 
-def noetherian_exponent(I: MonomialIdeal, l_max: int, n_max: int) -> NoetherianExponentResult:
+def noetherian_exponent(
+    I: MonomialIdeal, l_max: int, n_max: int, *, closures: "ClosureChain | None" = None
+) -> NoetherianExponentResult:
     """Least l with closure(I^l)^n = closure(I^(l*n)) for all n up to n_max.
 
     When no l up to l_max verifies, the result records where each candidate
-    first failed.
+    first failed.  The closures are read from ``closures`` when given.
     """
+    closures = _chain_for(I, closures)
     failures = []
     for l in range(1, l_max + 1):
-        closed = TermSystem(integral_closure_power(I, l))
+        closed = TermSystem(closures(l))
         first_bad = None
         for n in range(1, n_max + 1):
-            if closed.term(n) != integral_closure_power(I, l * n):
+            if closed.term(n) != closures(l * n):
                 first_bad = n
                 break
         if first_bad is None:
@@ -210,16 +276,26 @@ def noetherian_exponent(I: MonomialIdeal, l_max: int, n_max: int) -> NoetherianE
     return NoetherianExponentResult(None, l_max, n_max, tuple(failures))
 
 
-def rees_cofinality_constant(I: MonomialIdeal, m_max: int) -> int:
-    """Least k with closure(I^m) contained in I^(m-k) for all k < m <= m_max."""
+def rees_cofinality_constant(
+    I: MonomialIdeal, m_max: int, *, closures: "ClosureChain | None" = None
+) -> int:
+    """Least k with closure(I^m) contained in I^(m-k) for all k < m <= m_max.
+
+    The closures are read from ``closures`` when given.
+    """
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
-    table = cofinality_table(I, m_max, term_fn=lambda m: integral_closure_power(I, m))
+    table = cofinality_table(I, m_max, term_fn=_chain_for(I, closures))
     return max([0] + [m - j for m, j in enumerate(table, 1)])
 
 
-def closure_powers_report(I: MonomialIdeal, n_max: int, **kwargs):
-    """Run the powers analyzers against the closure filtration n -> closure(I^n)."""
+def closure_powers_report(
+    I: MonomialIdeal, n_max: int, *, closures: "ClosureChain | None" = None, **kwargs
+):
+    """Run the powers analyzers against the closure filtration n -> closure(I^n).
+
+    The closures are read from ``closures`` when given.
+    """
     from .powers import powers_report
 
-    return powers_report(I, n_max, term_fn=lambda n: integral_closure_power(I, n), **kwargs)
+    return powers_report(I, n_max, term_fn=_chain_for(I, closures), **kwargs)

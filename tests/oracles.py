@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from monofilt.closure import integral_closure_power
+from monofilt.closure import newton_polyhedron
 from monofilt.ring import MonomialIdeal, context, ideal
 
 
@@ -287,9 +287,31 @@ def closure_witness(gens, n, point):
     return best
 
 
+def reference_integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
+    """closure(I^n) from the member set of n * NP(I) on the box n * box(I).
+
+    A box point is a member when it satisfies every facet inequality scaled
+    by n.  Minimal lattice points of the dilation lie in that box, and the
+    member set is closed upward, so the generators are the members with no
+    member one step below them in any coordinate.
+    """
+    facets = newton_polyhedron(I).facets
+    inside = {
+        e
+        for e in box_points(tuple(n * b for b in I.box()))
+        if all(sum(a * v for a, v in zip(coeffs, e)) >= n * bound for coeffs, bound in facets)
+    }
+    minimal = [
+        e
+        for e in inside
+        if not any(e[i] and e[:i] + (e[i] - 1,) + e[i + 1 :] in inside for i in range(len(e)))
+    ]
+    return MonomialIdeal(I.ctx, tuple(sorted(minimal, key=grlex)))
+
+
 def reference_rees_cofinality_constant(I: MonomialIdeal, m_max: int) -> int:
     """Least k with closure(I^m) in I^(m-k) for all k < m <= m_max, by trying each k in turn."""
-    closures = {m: integral_closure_power(I, m) for m in range(1, m_max + 1)}
+    closures = {m: reference_integral_closure_power(I, m) for m in range(1, m_max + 1)}
     for k in range(0, m_max + 1):
         if all((I ** (m - k)).contains_ideal(closures[m]) for m in range(k + 1, m_max + 1)):
             return k

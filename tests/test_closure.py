@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from monofilt import (
+    ClosureChain,
     DimensionLimitError,
     closure_powers_report,
     context,
@@ -10,9 +13,13 @@ from monofilt import (
     newton_polyhedron,
     noetherian_exponent,
     parse_ideal,
+    parse_problem,
     powers_report,
     rees_cofinality_constant,
 )
+
+import monofilt.closure as closure
+from monofilt import cli
 
 import oracles
 
@@ -113,6 +120,56 @@ def test_valuation_witness_roundtrip(kxy):
         scaled = tuple(k * v for v in u)
         assert (I**k).contains(scaled)
     assert oracles.closure_witness(I.generators, 1, (2, 0)) is None
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_closure_matches_reference(seed):
+    # Uniform exponents 0..4 from a seeded generator: hypothesis' own small
+    # ideals are mostly integrally closed and would not exercise the chain.
+    rng = random.Random(seed)
+    I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=4, max_exp=4)
+    closures = ClosureChain(I)
+    for n in range(1, I.ctx.num_vars + 4):
+        assert closures(n) == oracles.reference_integral_closure_power(I, n), n
+    n = rng.randint(1, I.ctx.num_vars + 3)
+    assert integral_closure_power(I, n) == closures(n)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("vars: x,y ; ideal: x^3, y^3", 0), ("vars: x,y,z ; ideal: x^3, y^3, z^3", 1)],
+)
+def test_reduction_cannot_start_one_step_earlier(text, n):
+    # n = d - 2: one step below where closure(I^(n+1)) = I * closure(I^n) is proved.
+    ctx, I = parse_problem(text)
+    assert n == ctx.num_vars - 2
+    closures = ClosureChain(I)
+    assert closures(n + 1) == oracles.reference_integral_closure_power(I, n + 1)
+    assert closures(n + 1) != I * closures(n)
+
+
+def test_closure_command_scans_one_box(monkeypatch):
+    boxes = []
+    scan = closure.box_monomials
+
+    def counted(bounds):
+        boxes.append(bounds)
+        return scan(bounds)
+
+    monkeypatch.setattr(closure, "box_monomials", counted)
+    assert cli.main(["closure", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "7"]) == 0
+    assert boxes == [(3, 3)]
+
+
+def test_closure_chain_belongs_to_its_ideal(kxy):
+    closures = ClosureChain(parse_ideal("x^3, y^3", kxy))
+    other = parse_ideal("x^2, y^3", kxy)
+    with pytest.raises(ValueError, match="another ideal"):
+        noetherian_exponent(other, 2, 2, closures=closures)
+    with pytest.raises(ValueError, match="another ideal"):
+        rees_cofinality_constant(other, 3, closures=closures)
+    with pytest.raises(ValueError, match="another ideal"):
+        closure_powers_report(other, 3, closures=closures)
 
 
 def test_noetherian_exponent(kxy):
