@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import lt
 
 from .decomposition import (
     MonomialPrime,
@@ -25,6 +24,8 @@ from .errors import GluePreconditionError
 from .ring import (
     Monomial,
     MonomialIdeal,
+    corner_axes,
+    corner_masks,
     grlex_key,
     mono_divides,
     mono_mul,
@@ -91,49 +92,79 @@ def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
     return PrimeFiltration(J, tuple(steps))
 
 
+def _first_malformed(steps, d: int) -> "int | None":
+    """Index of the first step that is not a monomial and prime of the ring, if any."""
+    indices = set(range(d))
+    for k, (w, prime) in enumerate(steps):
+        if not (isinstance(w, tuple) and len(w) == d and indices.issuperset(prime.support)):
+            return k
+        for v in w:
+            if not isinstance(v, int) or v < 0:
+                return k
+    return None
+
+
 def validate(filtration: PrimeFiltration) -> ValidationResult:
     """Check every chain invariant exactly; report the first failing step.
 
-    Each step walks the generators g of the chain ideal U once.  The indices
-    where g exceeds the witness w decide every invariant: none means w is in
-    U; none in the prime's support means a generator of (U : w) escapes the
-    prime; exactly {i} with g_i = w_i + 1 means g divides w*x_i, so x_i lies
-    in (U : w); and g stays a generator after adjoining w unless w divides g.
-    Verdicts keep the order "already lies", "larger", "smaller".
+    One :func:`~monofilt.ring.corner_masks` table over the base generators
+    and every witness, one bit each, decides all steps; the set ``alive``
+    holds the generators of the chain ideal U.  At a step with witness w,
+    ``rows[i]`` holds the generators of U that exceed w on axis i:
+
+    * w already lies in U when some generator exceeds it nowhere, that is
+      when the OR of the rows misses part of ``alive``;
+    * (U : w) is larger than the prime when some generator exceeds w off the
+      prime's support only, so the OR of the support's rows misses part of
+      ``alive``;
+    * it is smaller when, for some x_i of the support, no generator exceeds
+      w on axis i alone and there by exactly one, which is the only way a
+      generator that does not divide w can divide w*x_i.
+
+    Adjoining w then drops its multiples, the generators at least w_i on
+    every axis.  Each step costs O(d) integer operations.  Verdicts keep the
+    order "already lies", "larger", "smaller"; a step that is not a monomial
+    and prime of the ring is reported only once every step before it passes.
     """
     ctx = filtration.base.ctx
     d = ctx.num_vars
-    indices = range(d)
-    unit = ctx.unit_monomial()
-    gens = list(filtration.base.generators)
-    for k, (w, prime) in enumerate(filtration.steps):
-        supp = set(prime.support)
-        is_monomial = (
-            isinstance(w, tuple) and len(w) == d and all(isinstance(v, int) and v >= 0 for v in w)
-        )
-        if not is_monomial or not supp <= set(indices):
-            return ValidationResult(False, k, "step is not a monomial and prime of this ring")
-        larger = False
-        reached = set()
-        kept = []
-        for g in gens:
-            above = [i for i in indices if g[i] > w[i]]
-            if not above:
-                return ValidationResult(False, k, "witness already lies in the chain ideal")
-            if supp.isdisjoint(above):
-                # For the zero prime this fires whenever the chain ideal is nonzero.
-                larger = True
-            elif len(above) == 1 and g[above[0]] == w[above[0]] + 1:
-                reached.add(above[0])
-            if any(map(lt, g, w)):
-                kept.append(g)
-        if larger:
+    steps = filtration.steps
+    malformed = _first_malformed(steps, d)
+    if malformed is not None:
+        steps = steps[:malformed]
+    base = filtration.base.generators
+    gens = base + tuple(w for w, _ in steps)
+    full, above, exact = corner_masks(gens, corner_axes(gens, d))
+    alive = (1 << len(base)) - 1
+    bit = alive + 1  # the bit of the current step's witness
+    for k, (w, prime) in enumerate(steps):
+        rows = [col[a] & alive for col, a in zip(above, w)]
+        once = twice = 0
+        for m in rows:
+            twice |= once & m
+            once |= m
+        if once != alive:
+            return ValidationResult(False, k, "witness already lies in the chain ideal")
+        support = prime.support
+        reached = 0
+        for i in support:
+            reached |= rows[i]
+        if reached != alive:
+            # For the zero prime this fires whenever the chain ideal is nonzero.
             return ValidationResult(False, k, "colon is larger than the claimed prime")
-        if not supp <= reached:
-            return ValidationResult(False, k, "colon is smaller than the claimed prime")
-        kept.append(w)
-        gens = kept
-    if gens != [unit]:
+        single = alive & ~twice
+        for i in support:
+            if not exact[i][w[i]] & single:
+                return ValidationResult(False, k, "colon is smaller than the claimed prime")
+        multiples = full
+        for col, a in zip(above, w):
+            if a:
+                multiples &= col[a - 1]
+        alive = alive & ~multiples | bit
+        bit <<= 1
+    if malformed is not None:
+        return ValidationResult(False, malformed, "step is not a monomial and prime of this ring")
+    if alive.bit_count() != 1 or gens[alive.bit_length() - 1] != ctx.unit_monomial():
         return ValidationResult(False, None, "final ideal in the chain is not the unit ideal")
     return ValidationResult(True)
 

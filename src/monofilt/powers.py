@@ -129,9 +129,9 @@ class FiltrationEngine:
         if n < cert.colon_threshold:
             return self._fallback(J, n, base, "level below the certified colon threshold")
         x, m = cert.element, cert.order
-        left_ann = J.colon_monomial(x)
+        left_ann = self.ts.annihilator_colon(J, x)
         expected = left_ann + self.ts.term(n - m)
-        if base.colon_monomial(x) != expected:
+        if self.ts.colon(J, n, x) != expected:
             return self._fallback(J, n, base, "colon identity failed on recheck at this level")
         right_ann = J.add_monomial(x)
         left, left_fb = self._build(left_ann, n - m)

@@ -132,20 +132,27 @@ def _checked(g, d: int) -> Monomial:
 
 
 def _prune(ordered: list) -> tuple:
-    """Drop each monomial that an earlier one divides.
+    """Minimal generators of distinct monomials in grlex order.
 
-    In grlex order a divisor precedes every other multiple of it, so on a
-    sorted list this leaves the minimal generators, a repeat dropping out as
-    a multiple of its first copy.
+    A divisor of g other than g itself has strictly lower degree, and grlex
+    puts every lower degree first, so each g is compared only against the
+    kept monomials of strictly lower degree; within one degree the distinct
+    monomials form an antichain.  An equigenerated list needs no test at all.
     """
-    kept = []
+    lower = []  # kept monomials of degree below the current one
+    current = []  # kept monomials of the current degree
+    degree = -1
     for g in ordered:
-        for k in kept:
+        if sum(g) != degree:
+            degree = sum(g)
+            lower += current
+            current = []
+        for k in lower:
             if all(map(le, k, g)):
                 break
         else:
-            kept.append(g)
-    return tuple(kept)
+            current.append(g)
+    return tuple(lower + current)
 
 
 def _merge(A: tuple, B: tuple) -> tuple:

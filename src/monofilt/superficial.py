@@ -73,7 +73,11 @@ class SpliceCertificate:
 
 
 class TermSystem:
-    """Caches the term ideals T(n) of a filtration of R.
+    """Caches the term ideals T(n) of a filtration of R, T(n) + J, and their colons.
+
+    The colons (T(n) + J) : x and J : x by a candidate x are what the
+    certificate searches and the engine's recheck compare; each is computed
+    once per system.
 
     The default system is ordinary powers T(n) = I^n; the closure pipeline
     substitutes n -> integral closure of I^n.  T(n) must be descending with
@@ -86,6 +90,8 @@ class TermSystem:
         self._term_fn = term_fn
         self._terms = {0: unit_ideal(I.ctx)}
         self._sums = {}
+        self._colons = {}
+        self._annihilator_colons = {}
 
     def term(self, n: int) -> MonomialIdeal:
         if n <= 0:
@@ -106,19 +112,33 @@ class TermSystem:
             self._sums[key] = self.term(n) + J
         return self._sums[key]
 
+    def colon(self, J: MonomialIdeal, n: int, x: Monomial) -> MonomialIdeal:
+        """(T(n) + J) : x, cached; a certificate search asks for it at every c."""
+        key = (J, n if n > 0 else 0, x)
+        if key not in self._colons:
+            self._colons[key] = self.term_plus(J, n).colon_monomial(x)
+        return self._colons[key]
+
+    def annihilator_colon(self, J: MonomialIdeal, x: Monomial) -> MonomialIdeal:
+        """J : x, cached; the colon identity asks for it at every level."""
+        key = (J, x)
+        if key not in self._annihilator_colons:
+            self._annihilator_colons[key] = J.colon_monomial(x)
+        return self._annihilator_colons[key]
+
 
 def _defining_condition_holds(
     ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, c: int, n: int
 ) -> bool:
     # ((T(n+m) + J) : x) intersected with (T(c) + J) must equal T(n) + J.
-    colon = ts.term_plus(J, n + m).colon_monomial(x)
+    colon = ts.colon(J, n + m, x)
     cut = colon if c == 0 else colon.intersect(ts.term_plus(J, c))
     return cut == ts.term_plus(J, n)
 
 
 def _colon_identity_holds(ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, n: int) -> bool:
-    lhs = ts.term_plus(J, n).colon_monomial(x)
-    rhs = J.colon_monomial(x) + ts.term(n - m)
+    lhs = ts.colon(J, n, x)
+    rhs = ts.annihilator_colon(J, x) + ts.term(n - m)
     return lhs == rhs
 
 

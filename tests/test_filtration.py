@@ -304,3 +304,34 @@ def test_mutants_reach_every_verdict():
         "final ideal in the chain is not the unit ideal",
         MALFORMED,
     }
+
+
+def test_validate_agrees_with_reference_on_deep_mutants():
+    # Theorem filtrations up to n = 5 in three variables run to dozens of
+    # steps, past the short chains the hypothesis test above draws.
+    rng = random.Random(12)
+    ctx = context(*_NAMES)
+    longest = PrimeFiltration(zero_ideal(ctx), ())
+    for _ in range(12):
+        J = ideal(ctx, [tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(rng.randint(1, 3))])
+        if J.is_unit():
+            continue
+        for F in _filtrations(J, 5):
+            longest = max(longest, F, key=lambda F: len(F.steps))
+            for M in _mutants(F, rng):
+                verdict = validate(M)
+                assert (verdict.ok, verdict.step, verdict.reason) == _expected(M)
+    steps = list(longest.steps)
+    assert len(steps) > 10 and validate(longest)
+    for k in (10, len(steps) - 1):
+        w, prime = steps[k]
+        for bad in (((w[0], w[1], -1), prime), (w[:2], prime), (w, MonomialPrime((0, 3)))):
+            M = PrimeFiltration(longest.base, tuple(steps[:k] + [bad] + steps[k + 1:]))
+            verdict = validate(M)
+            assert (verdict.ok, verdict.step, verdict.reason) == (False, k, MALFORMED)
+            assert _expected(M) == (False, k, MALFORMED)
+    # A failing step before the malformed one is reported first.
+    M = PrimeFiltration(longest.base, tuple(steps[:10] + [steps[2], (w[:2], prime)]))
+    verdict = validate(M)
+    assert (verdict.ok, verdict.step, verdict.reason) == _expected(M)
+    assert (verdict.step, verdict.reason) == (10, "witness already lies in the chain ideal")

@@ -3,7 +3,15 @@
 from hypothesis import given, strategies as st
 
 from monofilt import context, ideal
-from monofilt.ring import grlex_key, mono_colon, mono_divides, mono_lcm, mono_mul
+from monofilt.ring import (
+    _canonical,
+    grlex_key,
+    minimal_generators,
+    mono_colon,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 import oracles
 
@@ -186,3 +194,41 @@ def test_kernels_match_loop_forms(a, b):
     assert mono_lcm(a, b) == oracles.loop_mono_lcm(a, b)
     assert mono_colon(a, b) == oracles.loop_mono_colon(a, b)
     assert grlex_key(a) == oracles.loop_grlex_key(a)
+
+
+@st.composite
+def raw_generators(draw, max_vars=4, max_gens=12, max_exp=2):
+    """Up to 12 monomials with exponents up to 2: equal degrees and repeats are common."""
+    d = draw(st.integers(1, max_vars))
+    exps = st.lists(st.integers(0, max_exp), min_size=d, max_size=d).map(tuple)
+    return d, draw(st.lists(exps, max_size=max_gens))
+
+
+@given(raw_generators())
+def test_minimal_generators_match_reference(raw):
+    d, gens = raw
+    ctx = context(*("x", "y", "z", "w")[:d])
+    expected = oracles.reference_minimal_generators(d, gens)
+    assert minimal_generators(ctx, gens) == expected
+    assert _canonical(gens) == expected
+
+
+@st.composite
+def equigenerated_powers(draw, max_vars=3, max_degree=3, max_power=4):
+    """An ideal generated in one degree, and a power of it."""
+    d = draw(st.integers(1, max_vars))
+    degree = draw(st.integers(1, max_degree))
+    layer = [e for e in oracles.box_points((degree,) * d) if sum(e) == degree]
+    gens = draw(st.lists(st.sampled_from(layer), min_size=1, max_size=4))
+    return d, gens, draw(st.integers(0, max_power))
+
+
+@given(equigenerated_powers())
+def test_equigenerated_powers_match_reference(case):
+    # Every product has the same degree, so pruning only drops repeats.
+    d, gens, n = case
+    I = ideal(context(*_NAMES[:d]), gens)
+    products = [(0,) * d]
+    for _ in range(n):
+        products = [oracles.loop_mono_mul(p, g) for p in products for g in I.generators]
+    assert (I**n).generators == oracles.reference_minimal_generators(d, products)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +12,16 @@ from monofilt import (
     ideal,
     integral_closure_power,
     parse_ideal,
+    parse_problem,
     verify_certificate,
     zero_ideal,
 )
+from monofilt.ring import MonomialIdeal
 from monofilt.superficial import (
     SpliceCertificate,
+    SuperficialCertificate,
     TermSystem,
+    colon_threshold_for,
     search_certificate,
     search_splice_certificate,
 )
@@ -182,3 +188,94 @@ def test_cofinality_rejects_zero_action(kxy):
         cofinality_table(I, 5, J=parse_ideal("x", kxy))
     with pytest.raises(ValueError):
         cofinality_table(zero_ideal(kxy), 5)
+
+
+def test_certificate_search_computes_each_colon_once(monkeypatch, kxy):
+    # The threshold scan asks for J : x at every level and the defining
+    # condition for (T(n + m) + J) : x at every c; the term system answers
+    # each from one colon per candidate and level.
+    computed = Counter()
+    colon_monomial = MonomialIdeal.colon_monomial
+
+    def counted(ideal_, w):
+        computed[ideal_, w] += 1
+        return colon_monomial(ideal_, w)
+
+    monkeypatch.setattr(MonomialIdeal, "colon_monomial", counted)
+    I = parse_ideal("x^2, x*y", kxy)
+    J = parse_ideal("y^3", kxy)
+    ts = TermSystem(I)
+    for m in (1, 2):
+        for x in ts.term(m).generators:
+            colon_threshold_for(ts, J, x, m, 12)
+            assert computed[J, x] == 1, x
+    search_certificate(ts, J, 2, 6, 12)
+    assert set(computed.values()) == {1}
+
+
+# Every certificate the engine asks for while sweeping the curated suite to
+# n = 12 (verified to 24): (annihilator, superficial element and c, or None,
+# first splice element).  Every order and colon threshold is 1.
+SUITE_CERTIFICATES = {
+    "vars: x,y ; ideal: x": [("", "x", 0, "x")],
+    "vars: x,y ; ideal: x, y": [("", "x", 0, "x"), ("x", "y", 0, "y")],
+    "vars: x,y ; ideal: x^2, x*y": [
+        ("", "x*y", 0, "x*y"),
+        ("y", "x^2", 0, "x^2"),
+        ("x*y", "x^2", 1, "x^2"),
+    ],
+    "vars: x,y,z ; ideal: x*z, y*z": [
+        ("", "x*z", 0, "x*z"),
+        ("x", "y*z", 0, "y*z"),
+        ("x*z", "y*z", 1, "y*z"),
+    ],
+    "vars: x,y ; ideal: x^3, y^3": [("", "x^3", 0, "x^3"), ("x^3", "y^3", 0, "y^3")],
+    "vars: x,y ; ideal: x^4, x*y, y^4": [
+        ("", "x*y", 0, "x*y"),
+        ("y", "x^4", 0, "x^4"),
+        ("x", "y^4", 0, "y^4"),
+        ("x*y", None, None, "x^4"),
+        ("x*y, x^4", "y^4", 1, "y^4"),
+    ],
+    "vars: x,y ; ideal: x^2": [("", "x^2", 0, "x^2")],
+    "vars: x,y ; ideal: x^2, y^2": [("", "x^2", 0, "x^2"), ("x^2", "y^2", 0, "y^2")],
+    "vars: x,y ; ideal: x^2, x*y, y^2": [
+        ("", "x^2", 0, "x^2"),
+        ("x^2", "y^2", 0, "x*y"),
+        ("x^2, y^2", "x*y", 2, "x*y"),
+    ],
+    "vars: x,y ; ideal: x^3, x^2*y": [
+        ("", "x^2*y", 0, "x^2*y"),
+        ("y", "x^3", 0, "x^3"),
+        ("x^2*y", "x^3", 1, "x^3"),
+    ],
+    "vars: x,y,z ; ideal: x*y, y*z": [
+        ("", "x*y", 0, "x*y"),
+        ("x", "y*z", 0, "y*z"),
+        ("x*y", "y*z", 1, "y*z"),
+    ],
+}
+
+
+def _monomial(text, ctx):
+    return parse_ideal(text, ctx).generators[0]
+
+
+def test_suite_certificates_are_unchanged(suite_reports):
+    for text, rows in SUITE_CERTIFICATES.items():
+        ctx, I = parse_problem(text)
+        seen = {}
+        for annihilator, element, c, splice in rows:
+            J = parse_ideal(annihilator, ctx) if annihilator else zero_ideal(ctx)
+            ts = TermSystem(I)
+            cert = search_certificate(ts, J, 3, 6, 24)
+            if element is None:
+                assert cert is None
+            else:
+                assert cert == SuperficialCertificate(_monomial(element, ctx), 1, c, 1, 24)
+                assert verify_certificate(CyclicFilteredModule(J, I), cert)
+            assert search_splice_certificate(ts, J, 3, 24) == SpliceCertificate(
+                _monomial(splice, ctx), 1, 1, 24
+            )
+            seen[J] = cert or SpliceCertificate(_monomial(splice, ctx), 1, 1, 24)
+        assert suite_reports[text].engine._certs == seen
