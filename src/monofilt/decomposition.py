@@ -8,7 +8,7 @@ support at once.  The irreducible components come from the same grid: by
 Alexander duality they are its points w with (J : w) prime that sit at the
 top of every axis off the prime's support.  Both scans decide each cell
 from the generator bitmasks of :func:`~monofilt.ring.corner_masks`, built
-once per scan.
+once per scan; the witness scan leaves out the cells inside the ideal.
 """
 
 from __future__ import annotations
@@ -128,18 +128,34 @@ def _witness_for(gens, d: int) -> dict:
     where g is the generator whose residue is x_i.  So every least witness has
     its exponents on the axes of :func:`corner_axes`.  The grid is walked once
     in product order, keeping the grlex-least hit per support.
+
+    Cells inside U have no prime colon and are skipped unscanned.  For each
+    prefix of the leading axes the OR of their ``above`` rows is taken once;
+    a cell lies in U when that OR and the last axis's row together miss a
+    generator.  Membership only grows along the last axis, so its walk
+    upward stops at the first cell in U.
     """
     axes = corner_axes(gens, d)
     masks = corner_masks(gens, axes)
+    full, above, _ = masks
+    *lead, last = axes
+    last_rows = [(a, above[-1][a]) for a in last]
     found = {}
     keys = {}
-    for w in product(*axes):
-        supp = colon_prime_support(masks, w)
-        if supp is not None:
-            key = grlex_key(w)
-            if supp not in keys or key < keys[supp]:
-                keys[supp] = key
-                found[supp] = w
+    for prefix in product(*lead):
+        reach = 0
+        for col, a in zip(above, prefix):
+            reach |= col[a]
+        for a, row in last_rows:
+            if reach | row != full:
+                break  # this cell and every later one on the axis lie in U
+            w = prefix + (a,)
+            supp = colon_prime_support(masks, w)
+            if supp is not None:
+                key = grlex_key(w)
+                if supp not in keys or key < keys[supp]:
+                    keys[supp] = key
+                    found[supp] = w
     return found
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .decomposition import (
     MonomialPrime,
@@ -40,20 +41,17 @@ class PrimeFiltration:
     base: MonomialIdeal
     steps: tuple  # tuple of (Monomial, MonomialPrime)
 
+    def _supports(self):
+        # Primes are counted by their support tuples, which hash in C.
+        return map(attrgetter("support"), map(itemgetter(1), self.steps))
+
     def primes(self) -> tuple:
         """Distinct prime factors, in canonical order."""
-        return tuple(sorted({p for _, p in self.steps}))
+        return tuple(map(MonomialPrime, sorted(set(self._supports()))))
 
     def ledger(self) -> Counter:
-        """Multiplicity of each prime among the steps."""
-        return Counter(p for _, p in self.steps)
-
-    def serialize(self) -> list:
-        ctx = self.base.ctx
-        return [
-            {"step": k, "witness": ctx.monomial_str(w), "prime": p.names(ctx)}
-            for k, (w, p) in enumerate(self.steps)
-        ]
+        """Multiplicity of each prime among the steps, in order of first appearance."""
+        return Counter({MonomialPrime(s): c for s, c in Counter(self._supports()).items()})
 
 
 @dataclass(frozen=True)

@@ -229,12 +229,34 @@ class PowersReport:
         }
 
 
-def filtration_digest(filtration: PrimeFiltration) -> str:
-    payload = {
-        "base": filtration.base.generator_strings(),
-        "steps": filtration.serialize(),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+def filtration_digest(filtration: PrimeFiltration, witness_text: dict) -> str:
+    """First 16 hex digits of the sha256 of the filtration's canonical JSON text.
+
+    The hashed bytes are the UTF-8 encoding of ``json.dumps(payload,
+    sort_keys=True)``, where ``payload`` holds ``"base"``, the base ideal's
+    generator strings, and ``"steps"``, one ``{"step": k, "witness":
+    monomial string, "prime": variable names}`` record per step.  The text
+    is written from cached fragments instead: one per prime support, made
+    here, and one per witness, kept in ``witness_text`` across calls.  A
+    witness's fragment holds its variable names, so one ``witness_text``
+    dict serves one ring; :func:`powers_report` makes one per sweep.
+    """
+    ctx = filtration.base.ctx
+    names = ctx.variable_names
+    prime_text = {}
+    parts = []
+    for k, (w, p) in enumerate(filtration.steps):
+        head = prime_text.get(p.support)
+        if head is None:
+            head = prime_text[p.support] = (
+                '{"prime": ' + json.dumps([names[i] for i in p.support]) + ', "step": '
+            )
+        tail = witness_text.get(w)
+        if tail is None:
+            tail = witness_text[w] = ', "witness": ' + json.dumps(ctx.monomial_str(w)) + "}"
+        parts.append(f"{head}{k}{tail}")
+    base = json.dumps(filtration.base.generator_strings())
+    blob = f'{{"base": {base}, "steps": [{", ".join(parts)}]}}'.encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -313,6 +335,7 @@ def powers_report(
 
     records = []
     filtrations = {}
+    witness_text = {}
     for n in range(1, n_max + 1):
         if engine is not None:
             filtration, fell_back = engine.filtration(n)
@@ -324,12 +347,12 @@ def powers_report(
                 f"filtration of level {n} failed validation at step {verdict.step}: {verdict.reason}"
             )
         ass = tuple(associated_primes(ts.term(n)))
-        ledger = filtration.ledger()
+        ledger = tuple(sorted(filtration.ledger().items()))
         record = PowerRecord(
             n=n,
-            digest=filtration_digest(filtration),
-            primes=filtration.primes(),
-            ledger=tuple(sorted(ledger.items())),
+            digest=filtration_digest(filtration, witness_text),
+            primes=tuple(p for p, _ in ledger),
+            ledger=ledger,
             ass=ass,
             fallback=fell_back,
             steps=len(filtration.steps),

@@ -161,8 +161,11 @@ def _merge(A: tuple, B: tuple) -> tuple:
     a in A stays unless some b in B divides it, equality included; b in B
     stays unless a surviving a divides it, so a shared generator stays once.
     That is |A| * |B| divisibility tests, where pruning the union would take
-    about (|A| + |B|)^2 / 2.
+    about (|A| + |B|)^2 / 2.  When one side is empty the other is returned as
+    it is, so a sum with the zero ideal shares its operand's tuple.
     """
+    if not A or not B:
+        return A or B
     kept = []
     for a in A:
         for b in B:

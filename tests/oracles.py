@@ -6,6 +6,8 @@ minimal generators fit inside a box are equal exactly when their member sets
 agree on that box, so box agreement is full ideal equality.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -445,3 +447,24 @@ def reference_validate(filtration) -> tuple:
     if gens != [unit]:
         return (False, None, "final ideal in the chain is not the unit ideal")
     return (True, None, None)
+
+
+def reference_filtration_digest(filtration) -> str:
+    """First 16 hex digits of the sha256 of the filtration's JSON text.
+
+    The text is ``json.dumps`` of the base generators and one record per
+    step, keys sorted, with no cached fragment.
+    """
+    ctx = filtration.base.ctx
+    payload = {
+        "base": [ctx.monomial_str(g) for g in filtration.base.generators],
+        "steps": [
+            {
+                "step": k,
+                "witness": ctx.monomial_str(w),
+                "prime": [ctx.variable_names[i] for i in p.support],
+            }
+            for k, (w, p) in enumerate(filtration.steps)
+        ],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from monofilt import cli
 from monofilt.filtration import ValidationResult
@@ -352,6 +353,15 @@ def test_golden_powers_both_modes(tmp_path):
     code, text = run(tmp_path, *args, "human")
     assert code == 0
     assert text == "monofilt 0.1.0 powers\n" + _POWERS_HUMAN_NAIVE + _POWERS_HUMAN_THEOREM
+
+
+def test_golden_powers_both_modes_json(tmp_path):
+    # The per-level digests of both sweeps appear only in the JSON report.
+    golden = Path(__file__).parent / "golden" / "powers_both_nmax4.json"
+    args = ("powers", "--mode", "both", "--ideal", IDEAL, "--nmax", "4", "--format", "json")
+    code, text = run(tmp_path, *args)
+    assert code == 0
+    assert text == golden.read_text(encoding="utf-8")
 
 
 def test_golden_superficial_not_found_csv(tmp_path):

@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import product
 
 import pytest
@@ -20,7 +22,8 @@ from monofilt import (
     unit_ideal,
     zero_ideal,
 )
-from monofilt.decomposition import colon_prime_support
+from monofilt import decomposition
+from monofilt.decomposition import _witness_for, colon_prime_support
 from monofilt.ring import corner_axes, corner_masks, lies_outside
 
 import oracles
@@ -218,6 +221,42 @@ def test_mask_kernel_degenerate_and_huge(kxy, kxyz):
     assert_masks_match_residues(parse_ideal(f"x^{huge}*y, y^{huge}*z, x*z^{huge}", kxyz))
     assert grid_supports(zero_ideal(kxy)) == {()}
     assert grid_supports(unit_ideal(kxy)) == set()
+
+
+def reference_witness_for(gens, d):
+    """The grlex-least prime colon witness per support, deciding every grid cell."""
+    found = {}
+    for w in sorted(product(*corner_axes(gens, d)), key=oracles.grlex):
+        supp = oracles.reference_colon_prime_support(gens, w)
+        if supp is not None:
+            found.setdefault(supp, w)
+    return found
+
+
+def test_witness_scan_matches_full_grid_reference(kxy):
+    rng = random.Random(1307)
+    cases = [(zero_ideal(context(*_NAMES[:d])).generators, d) for d in range(1, 5)]
+    cases.append((parse_ideal("x^3", kxy).generators, 2))  # misses y
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 5) for _ in range(d)) for _ in range(rng.randint(0, 7 - d))]
+        cases.append((ideal(context(*_NAMES[:d]), gens).generators, d))
+    assert any(g and any(all(e[i] == 0 for e in g) for i in range(d)) for g, d in cases)
+    for gens, d in cases:
+        assert _witness_for(gens, d) == reference_witness_for(gens, d), gens
+
+
+def test_ass_scan_skips_cells_inside_the_ideal(kxy, monkeypatch):
+    J = parse_ideal("x^3, y^3", kxy) ** 6
+    cells = math.prod(len(axis) for axis in corner_axes(J.generators, 2))
+    scanned = []
+    original = decomposition.colon_prime_support
+    monkeypatch.setattr(
+        decomposition, "colon_prime_support", lambda masks, w: scanned.append(w) or original(masks, w)
+    )
+    assert associated_primes(J) == {MonomialPrime((0, 1)): (17, 2)}
+    assert 0 < len(scanned) < cells
+    assert not any(oracles.member(J, w) for w in scanned)
 
 
 @given(proper_ideals())

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,13 +13,18 @@ from monofilt import (
     associated_primes,
     bad_filtration_fixture,
     context,
+    ideal,
     parse_ideal,
     powers_report,
     theorem_filtration,
     validate,
     zero_ideal,
 )
-from monofilt.powers import detect_stabilization, fit_growth_exponent
+from monofilt.filtration import PrimeFiltration
+from monofilt.powers import detect_stabilization, filtration_digest, fit_growth_exponent
+from monofilt.ring import unit_ideal
+
+import oracles
 
 
 @pytest.fixture
@@ -248,3 +254,35 @@ def test_report_rejects_degenerate(kxy):
         powers_report(parse_ideal("x", kxy), 0)
     with pytest.raises(ValueError):
         powers_report(parse_ideal("x", kxy), 4, "fancy")
+
+
+def assert_summary_matches_reference(filtration, witness_text):
+    assert filtration_digest(filtration, witness_text) == oracles.reference_filtration_digest(
+        filtration
+    )
+    assert filtration.ledger() == Counter(p for _, p in filtration.steps)
+    assert filtration.primes() == tuple(sorted({p for _, p in filtration.steps}))
+
+
+def test_digest_and_ledger_match_reference(curated_ideals, kxy):
+    for (ctx, I), mode in product(curated_ideals.values(), ("theorem", "naive")):
+        report = powers_report(I, 6, mode)
+        witness_text = {}
+        for record in report.records:
+            filtration = report.filtrations[record.n]
+            assert record.digest == oracles.reference_filtration_digest(filtration)
+            assert_summary_matches_reference(filtration, witness_text)
+            assert record.ledger == tuple(sorted(filtration.ledger().items()))
+            assert record.primes == filtration.primes()
+    assert_summary_matches_reference(PrimeFiltration(unit_ideal(kxy), ()), {})
+    assert_summary_matches_reference(bad_filtration_fixture(kxy, 3, (0, 2)), {})
+    # json.dumps escapes the non-ASCII variable name; the cached text must too.
+    greek = context("α", "x_1")
+    I = ideal(greek, [(2, 0), (1, 2)])  # (α^2, α*x_1^2)
+    for mode in ("theorem", "naive"):
+        report = powers_report(I, 4, mode)
+        witness_text = {}
+        for record in report.records:
+            assert record.digest == oracles.reference_filtration_digest(report.filtrations[record.n])
+            assert_summary_matches_reference(report.filtrations[record.n], witness_text)
+        assert any("\\u03b1" in text for text in witness_text.values())

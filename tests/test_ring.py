@@ -12,6 +12,7 @@ from monofilt import (
 )
 from monofilt import ring
 from monofilt.ring import grlex_key, minimal_generators
+from monofilt.superficial import TermSystem
 
 import oracles
 
@@ -157,6 +158,19 @@ def test_results_from_canonical_operands_are_not_rechecked(kxy, monkeypatch):
         with pytest.raises(ValueError):
             ideal(kxy, [g])
     assert len(checked) == 3
+
+
+def test_sum_with_zero_keeps_the_operand(kxy):
+    I = parse_ideal("x^2, x*y", kxy)
+    zero = zero_ideal(kxy)
+    assert I + zero == zero + I == I
+    assert (I + zero).generators is I.generators
+    assert (zero + I).generators is I.generators
+    assert zero + zero == zero
+    assert zero.add_monomial((1, 0)) == parse_ideal("x", kxy)
+    # The engine's sum T(n) + 0 shares T(n)'s tuple instead of storing a copy.
+    ts = TermSystem(parse_ideal("x^3, y^3", kxy))
+    assert ts.term_plus(zero, 16).generators is ts.term(16).generators
 
 
 def test_saturation_examples(kxy):
