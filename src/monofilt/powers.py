@@ -4,9 +4,10 @@ For each level n the builder produces a prime filtration of R/(T(n) + J) by
 splicing along multiplication by a certified element x of order m: the
 subquotient filtered by ((J : x), n - m) lifts through x, the quotient by x
 recurses at the same n with a larger annihilator, and multiplicities add
-exactly.  The element comes from a superficial certificate when one exists
-and otherwise from a splice certificate, which verifies only the colon
-identity (T(n) + J) : x = (J : x) + T(n - m) that the splice needs; either
+exactly.  The element comes from one certificate scan: among the candidates
+whose colon identity (T(n) + J) : x = (J : x) + T(n - m) holds on a suffix of
+the verified range, the first superficial one, and failing that the first one
+as a splice certificate, which verifies only what the splice needs.  Either
 way that identity is rechecked exactly at every use.
 
 The recursion terminates.  x is never in J, so the right branch J + (x)
@@ -49,8 +50,8 @@ from .superficial import (
     SpliceCertificate,
     SuperficialCertificate,
     TermSystem,
+    _colon_identity_holds,
     search_certificate,
-    search_splice_certificate,
 )
 
 # Trailing window of the stabilization detectors by default.
@@ -85,9 +86,7 @@ class FiltrationEngine:
     ) -> "SuperficialCertificate | SpliceCertificate | None":
         """The certificate splices at J use: superficial if one exists, else a splice one."""
         if J not in self._certs:
-            self._certs[J] = search_certificate(
-                self.ts, J, self.order_max, C_MAX, self.verify_to
-            ) or search_splice_certificate(self.ts, J, self.order_max, self.verify_to)
+            self._certs[J] = search_certificate(self.ts, J, self.order_max, C_MAX, self.verify_to)
         return self._certs[J]
 
     def root_certificate(self) -> Optional[SuperficialCertificate]:
@@ -129,10 +128,9 @@ class FiltrationEngine:
         if n < cert.colon_threshold:
             return self._fallback(J, n, base, "level below the certified colon threshold")
         x, m = cert.element, cert.order
-        left_ann = self.ts.annihilator_colon(J, x)
-        expected = left_ann + self.ts.term(n - m)
-        if self.ts.colon(J, n, x) != expected:
+        if not _colon_identity_holds(self.ts, J, x, m, n):
             return self._fallback(J, n, base, "colon identity failed on recheck at this level")
+        left_ann = self.ts.annihilator_colon(J, x)
         right_ann = J.add_monomial(x)
         left, left_fb = self._build(left_ann, n - m)
         right, right_fb = self._build(right_ann, n)

@@ -8,10 +8,12 @@ which the plain colon identity (T(n) + J) : x = (J : x) + T(n - m) holds; the
 recursive filtration builder rechecks that identity at every use, so bounded
 verification here never weakens a constructed filtration.
 
-Splicing needs only that colon identity, not the defining condition.  Where no
-monomial superficial element exists, a splice certificate records an element
-for which the identity alone holds on a suffix of the verified range; it is a
-distinct kind and never stands in for a superficial certificate.
+Splicing needs only that colon identity, not the defining condition.  One
+scan over the candidates serves both certificate kinds: it keeps the
+candidates whose identity holds on a suffix of the verified range, returns
+the first of them that is also superficial, and otherwise returns the first
+of them as a splice certificate.  A splice certificate is a distinct kind and
+never stands in for a superficial one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ring import Monomial, MonomialIdeal, RingContext, unit_ideal
+from .ring import Monomial, MonomialIdeal, RingContext, _checked, unit_ideal
 
 # Largest superficial constant c tried by a certificate search.
 C_MAX = 6
@@ -147,16 +149,14 @@ def colon_threshold_for(
 ) -> Optional[int]:
     """Least N with (T(n) + J) : x = (J : x) + T(n - m) for all N <= n <= n_max.
 
-    x must lie in T(m); callers pass a generator of T(m) or check first.
+    The scan runs down from n_max and stops at the first level that fails;
+    the result is None when the identity fails at n_max or n_max < 1.  x must
+    lie in T(m); callers pass a generator of T(m) or check first.
     """
-    threshold = None
-    for n in range(1, n_max + 1):
-        if _colon_identity_holds(ts, J, x, m, n):
-            if threshold is None:
-                threshold = n
-        else:
-            threshold = None
-    return threshold
+    n = n_max
+    while n >= 1 and _colon_identity_holds(ts, J, x, m, n):
+        n -= 1
+    return n + 1 if n < n_max else None
 
 
 def _scan(ts: TermSystem, J: MonomialIdeal, order_max: int):
@@ -174,64 +174,37 @@ def search_certificate(
     order_max: int,
     c_max: int,
     verify_to: int,
-) -> Optional[SuperficialCertificate]:
-    """First certificate in scan order: order, then grlex candidates, then c.
+) -> "SuperficialCertificate | SpliceCertificate | None":
+    """One scan for both certificate kinds: order, then grlex candidates, then c.
 
-    Candidates already lying in the annihilator act as zero on the module and
-    are skipped.  A candidate is certified only when the defining condition
-    holds for every c <= n <= verify_to and the colon identity holds on a
-    suffix of the verified range; otherwise the scan moves on.  The condition
-    at n = c holds for every x, since x * (T(c) + J) lies in T(c + m) + J, so
-    c stops below verify_to and every certificate rests on a level n > c.
-    Monomial superficial elements need not exist, in which case the result is
-    None.
+    A candidate counts only when the colon identity holds on a suffix of
+    1..verify_to.  The first such candidate whose defining condition holds
+    for every c <= n <= verify_to, for some c <= c_max, is returned as a
+    superficial certificate.  The condition at n = c holds for every x, since
+    x * (T(c) + J) lies in T(c + m) + J, so c stops below verify_to and every
+    certificate rests on a level n > c.  Monomial superficial elements need
+    not exist; then the first candidate with a threshold is returned as a
+    splice certificate, and None when there is none.
+
+    Candidates in J are skipped, so a splice along x always strictly enlarges
+    the annihilator J + (x) of the right branch, and its left branch drops to
+    level n - order with order >= 1; that is what lets the recursive builder
+    terminate.
     """
+    splice = None
     for m, x in _scan(ts, J, order_max):
-        chosen_c = None
+        threshold = colon_threshold_for(ts, J, x, m, verify_to)
+        if threshold is None:
+            continue
         for c in range(0, min(c_max, verify_to - 1) + 1):
             if all(
                 _defining_condition_holds(ts, J, x, m, c, n)
                 for n in range(c, verify_to + 1)
             ):
-                chosen_c = c
-                break
-        if chosen_c is None:
-            continue
-        threshold = colon_threshold_for(ts, J, x, m, verify_to)
-        if threshold is None:
-            continue
-        return SuperficialCertificate(
-            element=x,
-            order=m,
-            c=chosen_c,
-            colon_threshold=threshold,
-            verified_to=verify_to,
-        )
-    return None
-
-
-def search_splice_certificate(
-    ts: TermSystem,
-    J: MonomialIdeal,
-    order_max: int,
-    verify_to: int,
-) -> Optional[SpliceCertificate]:
-    """First splice certificate in scan order: order, then grlex candidates.
-
-    The scan is that of :func:`search_certificate`, but a candidate is
-    certified by the colon identity alone, holding on a suffix of 1..verify_to.
-    Candidates in J are skipped, so a splice along x always strictly enlarges
-    the annihilator J + (x) of the right branch, and its left branch drops to
-    level n - order with order >= 1; that is what lets the recursive builder
-    terminate.  The result is None when no candidate up to order_max verifies.
-    """
-    for m, x in _scan(ts, J, order_max):
-        threshold = colon_threshold_for(ts, J, x, m, verify_to)
-        if threshold is not None:
-            return SpliceCertificate(
-                element=x, order=m, colon_threshold=threshold, verified_to=verify_to
-            )
-    return None
+                return SuperficialCertificate(x, m, c, threshold, verify_to)
+        if splice is None:
+            splice = SpliceCertificate(x, m, threshold, verify_to)
+    return splice
 
 
 def find_superficial(
@@ -254,14 +227,16 @@ def find_superficial(
         raise ValueError("the filtration ideal must be proper and nonzero")
     if J.contains_ideal(I):
         raise ValueError("the filtration ideal acts as zero on this module")
-    ts = TermSystem(I)
-    return search_certificate(ts, J, order_max, c_max, n_max)
+    cert = search_certificate(TermSystem(I), J, order_max, c_max, n_max)
+    return cert if isinstance(cert, SuperficialCertificate) else None
 
 
 def colon_threshold(
     module: CyclicFilteredModule, x: Monomial, m: int, n_max: int
 ) -> Optional[int]:
     """Public wrapper over the threshold scan for ordinary powers."""
+    if m < 1:
+        raise ValueError(f"order must be at least 1, got {m}")
     ts = TermSystem(module.filtration_ideal)
     if not ts.term(m).contains(x):
         raise ValueError("candidate element does not lie in the required term ideal")
@@ -269,20 +244,28 @@ def colon_threshold(
 
 
 def verify_certificate(module: CyclicFilteredModule, cert: SuperficialCertificate) -> bool:
-    """Re-run both certificate conditions from scratch over the recorded range."""
-    ts = TermSystem(module.filtration_ideal)
+    """Re-run both certificate conditions from scratch over the recorded range.
+
+    The colon threshold is recomputed, not rechecked level by level: it is
+    the least level from which the colon identity holds up to verified_to,
+    so equality with the recorded one covers the identity on that range.
+    An order below 1, an element that is not a monomial of the ring, and an
+    element acting as zero on the module all fail, and so does c outside
+    0..verified_to - 1: the defining condition at n = c holds for every x.
+    """
     J = module.annihilator
     x, m = cert.element, cert.order
-    if not ts.term(m).contains(x):
+    try:
+        x = _checked(x, module.ctx.num_vars)
+    except (TypeError, ValueError):
+        return False
+    ts = TermSystem(module.filtration_ideal)
+    if m < 1 or not 0 <= cert.c < cert.verified_to or J.contains(x) or not ts.term(m).contains(x):
         return False
     for n in range(cert.c, cert.verified_to + 1):
         if not _defining_condition_holds(ts, J, x, m, cert.c, n):
             return False
-    for n in range(cert.colon_threshold, cert.verified_to + 1):
-        if not _colon_identity_holds(ts, J, x, m, n):
-            return False
-    recomputed = colon_threshold_for(ts, J, x, m, cert.verified_to)
-    return recomputed == cert.colon_threshold
+    return colon_threshold_for(ts, J, x, m, cert.verified_to) == cert.colon_threshold
 
 
 def cofinality_table(

@@ -13,7 +13,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from monofilt.closure import newton_polyhedron
-from monofilt.ring import MonomialIdeal, context, ideal
+from monofilt.ring import MonomialIdeal, context, ideal, unit_ideal
+from monofilt.superficial import SpliceCertificate, SuperficialCertificate
 
 
 def member(I: MonomialIdeal, e) -> bool:
@@ -468,3 +469,64 @@ def reference_filtration_digest(filtration) -> str:
         ],
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def reference_powers(I: MonomialIdeal, top: int) -> list:
+    """[I^0, I^1, ..., I^top] by repeated multiplication."""
+    powers = [unit_ideal(I.ctx)]
+    for _ in range(top):
+        powers.append(powers[-1] * I)
+    return powers
+
+
+def reference_colon_threshold(powers, J, x, m, n_max):
+    """Least N with (I^n + J) : x = (J : x) + I^(n - m) for N <= n <= n_max.
+
+    The upward loop: every level 1..n_max is checked, and a failure restarts
+    the run; None when the identity fails at n_max or n_max < 1.
+    """
+    threshold = None
+    for n in range(1, n_max + 1):
+        lhs = (powers[n] + J).colon_monomial(x)
+        rhs = J.colon_monomial(x) + powers[max(n - m, 0)]
+        if lhs != rhs:
+            threshold = None
+        elif threshold is None:
+            threshold = n
+    return threshold
+
+
+def reference_certificate_search(I, J, order_max, c_max, verify_to):
+    """The certificate the engine uses at R/J, by two scans over the candidates.
+
+    Candidates are the generators of I^1, ..., I^order_max outside J, by
+    order, then grlex.  The first scan returns the first candidate whose
+    defining condition ((I^(n+m) + J) : x) meet (I^c + J) = I^n + J holds for
+    c <= n <= verify_to at the least such c <= min(c_max, verify_to - 1), and
+    whose colon identity holds on a suffix of 1..verify_to.  Failing that, the
+    second returns the first candidate whose colon identity holds on a suffix,
+    as a splice certificate; None when there is none.
+    """
+    powers = reference_powers(I, verify_to + order_max)
+    candidates = [
+        (m, x)
+        for m in range(1, order_max + 1)
+        for x in sorted(powers[m].generators, key=grlex)
+        if not member(J, x)
+    ]
+    for m, x in candidates:
+        for c in range(0, min(c_max, verify_to - 1) + 1):
+            if all(
+                (powers[n + m] + J).colon_monomial(x).intersect(powers[c] + J)
+                == powers[n] + J
+                for n in range(c, verify_to + 1)
+            ):
+                threshold = reference_colon_threshold(powers, J, x, m, verify_to)
+                if threshold is not None:
+                    return SuperficialCertificate(x, m, c, threshold, verify_to)
+                break
+    for m, x in candidates:
+        threshold = reference_colon_threshold(powers, J, x, m, verify_to)
+        if threshold is not None:
+            return SpliceCertificate(x, m, threshold, verify_to)
+    return None

@@ -1,5 +1,7 @@
+import json
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from monofilt import (
     context,
     ideal,
     parse_ideal,
+    parse_problem,
     powers_report,
     theorem_filtration,
     validate,
@@ -152,7 +155,9 @@ def test_root_certificate_is_the_superficial_search():
         I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=4, max_exp=3)
         n_max = rng.randint(1, 4)
         rep = powers_report(I, n_max, "theorem")
-        expected = search_certificate(TermSystem(I), zero_ideal(I.ctx), 3, 6, 2 * n_max)
+        found = search_certificate(TermSystem(I), zero_ideal(I.ctx), 3, 6, 2 * n_max)
+        assert rep.engine.certificate(zero_ideal(I.ctx)) == found
+        expected = found if isinstance(found, SuperficialCertificate) else None
         assert rep.engine.root_certificate() == expected
         assert rep.superficial == expected
     # At n_max 1 this root splices along x^2*y^4 but has no superficial element.
@@ -286,3 +291,17 @@ def test_digest_and_ledger_match_reference(curated_ideals, kxy):
             assert record.digest == oracles.reference_filtration_digest(report.filtrations[record.n])
             assert_summary_matches_reference(report.filtrations[record.n], witness_text)
         assert any("\\u03b1" in text for text in witness_text.values())
+
+
+def test_theorem_digests_match_golden(suite_reports, curated_ideals):
+    # Per-level theorem-mode digests recorded at commit da95989: the curated
+    # suite to n = 12 and two larger sweeps.  Any change to the certificate
+    # search, the engine or the digest that moves a filtration shows here.
+    golden = json.loads((Path(__file__).parent / "golden" / "theorem_digests.json").read_text())
+    assert len(golden) == len(curated_ideals) + 2
+    for case in golden:
+        report = suite_reports.get(case["ideal"])
+        if report is None or report.n_max != case["n_max"]:
+            _, I = parse_problem(case["ideal"])
+            report = powers_report(I, case["n_max"], "theorem")
+        assert [r.digest for r in report.records] == case["digests"], case["ideal"]

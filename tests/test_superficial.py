@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monofilt import (
     CyclicFilteredModule,
@@ -18,13 +18,16 @@ from monofilt import (
 )
 from monofilt.ring import MonomialIdeal
 from monofilt.superficial import (
+    C_MAX,
     SpliceCertificate,
     SuperficialCertificate,
     TermSystem,
+    _scan,
     colon_threshold_for,
     search_certificate,
-    search_splice_certificate,
 )
+
+import oracles
 
 
 @pytest.fixture
@@ -70,6 +73,41 @@ def test_colon_threshold_requires_membership(kxy):
         colon_threshold(M, (0, 1), 1, 10)  # y is not in the ideal
 
 
+def test_colon_threshold_rejects_order_below_one(kxy):
+    # The unit monomial lies in T(0) = R, but order 0 splices nowhere.
+    M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2, x*y", kxy))
+    with pytest.raises(ValueError):
+        colon_threshold(M, (0, 0), 0, 5)
+
+
+def test_verify_rejects_order_below_one_and_c_outside_the_range(kxy):
+    M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2, x*y", kxy))
+    assert not verify_certificate(M, SuperficialCertificate((0, 0), 0, 0, 1, 24))
+    cert = find_superficial(M, n_max=16)
+    assert verify_certificate(M, cert)
+    assert not verify_certificate(M, SuperficialCertificate(cert.element, 1, -1, 1, 16))
+    # x^4 is no superficial element of R/(x*y) under (x^4, x*y, y^4), but
+    # with c = verified_to the defining condition checks only n = c.
+    I, J = parse_ideal("x^4, x*y, y^4", kxy), parse_ideal("x*y", kxy)
+    for c in (8, 9):
+        assert not verify_certificate(
+            CyclicFilteredModule(J, I), SuperficialCertificate((4, 0), 1, c, 1, 8)
+        )
+
+
+def test_verify_rejects_element_outside_the_ring(kxy):
+    M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2, x*y", kxy))
+    for element in ((1,), (1, 1, 0), (2, -1), (1.0, 1), None):
+        assert not verify_certificate(M, SuperficialCertificate(element, 1, 0, 1, 8))
+
+
+def test_verify_rejects_element_in_the_annihilator(kxy):
+    # x lies in J = (x, y^2), so it acts as zero; both conditions still hold
+    # at c = 2 because T(n) + J = J from n = 2 on.
+    M = CyclicFilteredModule(parse_ideal("x, y^2", kxy), parse_ideal("x, y", kxy))
+    assert not verify_certificate(M, SuperficialCertificate((1, 0), 1, 2, 1, 8))
+
+
 def test_term_fills_powers_without_recursion(kxy):
     # One missing level per frame would pass the default recursion limit.
     assert TermSystem(parse_ideal("x", kxy)).term(3000) == ideal(kxy, [(3000, 0)])
@@ -111,8 +149,9 @@ def test_not_found_is_legitimate(kxy):
     # No monomial is superficial for R/(x*y) when I = (x^4, x*y, y^4):
     # candidates outside (x*y) are pure powers and miss one axis.
     I = parse_ideal("x^4, x*y, y^4", kxy)
-    ts = TermSystem(I)
-    assert search_certificate(ts, parse_ideal("x*y", kxy), 3, 6, 12) is None
+    J = parse_ideal("x*y", kxy)
+    assert find_superficial(CyclicFilteredModule(J, I), order_max=3, n_max=12) is None
+    assert not isinstance(search_certificate(TermSystem(I), J, 3, 6, 12), SuperficialCertificate)
 
 
 def test_splice_certificate_where_no_superficial_exists(kxy):
@@ -121,7 +160,7 @@ def test_splice_certificate_where_no_superficial_exists(kxy):
     I = parse_ideal("x^4, x*y, y^4", kxy)
     J = parse_ideal("x*y", kxy)
     ts = TermSystem(I)
-    cert = search_splice_certificate(ts, J, 3, 12)
+    cert = search_certificate(ts, J, 3, 6, 12)
     assert cert == SpliceCertificate(
         element=(4, 0), order=1, colon_threshold=1, verified_to=12
     )
@@ -133,7 +172,7 @@ def test_splice_search_can_fail(kxy):
     # (x^2*y, x*y^2) admits no splice certificate on R itself either, so its
     # sweep still falls back.
     I = parse_ideal("x^2*y, x*y^2", kxy)
-    assert search_splice_certificate(TermSystem(I), zero_ideal(kxy), 3, 12) is None
+    assert search_certificate(TermSystem(I), zero_ideal(kxy), 3, 6, 12) is None
 
 
 def test_not_found_at_root(kxy):
@@ -261,6 +300,16 @@ def _monomial(text, ctx):
     return parse_ideal(text, ctx).generators[0]
 
 
+def _first_splice(ts, J, order_max, verify_to):
+    # The splice certificate the search falls back on: the first candidate
+    # with a colon threshold, whether or not a superficial one comes later.
+    for m, x in _scan(ts, J, order_max):
+        threshold = colon_threshold_for(ts, J, x, m, verify_to)
+        if threshold is not None:
+            return SpliceCertificate(x, m, threshold, verify_to)
+    return None
+
+
 def test_suite_certificates_are_unchanged(suite_reports):
     for text, rows in SUITE_CERTIFICATES.items():
         ctx, I = parse_problem(text)
@@ -269,13 +318,50 @@ def test_suite_certificates_are_unchanged(suite_reports):
             J = parse_ideal(annihilator, ctx) if annihilator else zero_ideal(ctx)
             ts = TermSystem(I)
             cert = search_certificate(ts, J, 3, 6, 24)
+            first_splice = SpliceCertificate(_monomial(splice, ctx), 1, 1, 24)
             if element is None:
-                assert cert is None
+                assert cert == first_splice
             else:
                 assert cert == SuperficialCertificate(_monomial(element, ctx), 1, c, 1, 24)
                 assert verify_certificate(CyclicFilteredModule(J, I), cert)
-            assert search_splice_certificate(ts, J, 3, 24) == SpliceCertificate(
-                _monomial(splice, ctx), 1, 1, 24
-            )
-            seen[J] = cert or SpliceCertificate(_monomial(splice, ctx), 1, 1, 24)
+            assert _first_splice(ts, J, 3, 24) == first_splice
+            seen[J] = cert
         assert suite_reports[text].engine._certs == seen
+
+
+_IDEAL_PAIRS = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(*[st.integers(0, 3)] * d).filter(any), min_size=1, max_size=3),
+        st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=2),
+    )
+)
+
+
+def _pair(drawn):
+    d, gens, ann = drawn
+    ctx = context(*("x", "y", "z")[:d])
+    return ideal(ctx, gens), ideal(ctx, ann)
+
+
+@given(_IDEAL_PAIRS, st.integers(1, 3), st.integers(0, C_MAX), st.integers(0, 10))
+@example((2, [(2, 0), (1, 1), (0, 2)], [(2, 0)]), 1, C_MAX, 10)  # splice x*y precedes y^2
+@settings(max_examples=200)
+def test_search_matches_the_two_scan_reference(drawn, order_max, c_max, verify_to):
+    I, J = _pair(drawn)
+    assert search_certificate(
+        TermSystem(I), J, order_max, c_max, verify_to
+    ) == oracles.reference_certificate_search(I, J, order_max, c_max, verify_to)
+
+
+@given(_IDEAL_PAIRS, st.integers(1, 3))
+def test_colon_threshold_matches_the_upward_loop(drawn, order_max):
+    I, J = _pair(drawn)
+    ts = TermSystem(I)
+    powers = oracles.reference_powers(I, 10)
+    for m in range(1, order_max + 1):
+        for x in ts.term(m).generators:
+            for n_max in range(-1, 11):
+                assert colon_threshold_for(ts, J, x, m, n_max) == (
+                    oracles.reference_colon_threshold(powers, J, x, m, n_max)
+                ), (x, m, n_max)
