@@ -37,7 +37,7 @@ from .errors import CertificateError, InfeasibleError, MonofiltError
 from .filtration import cm_certificate
 from .powers import WINDOW, ass_stability, powers_report
 from .ring import parse_problem, zero_ideal
-from .superficial import C_MAX, ORDER_MAX, CyclicFilteredModule, find_superficial
+from .superficial import C_MAX, ORDER_MAX, CyclicFilteredModule, TermSystem, find_superficial
 
 _FORMATS = ("human", "json", "csv")
 
@@ -190,9 +190,11 @@ def _ledger_table(doc: dict):
 
 def cmd_powers(args, ctx, I):
     modes = ("naive", "theorem") if args.mode == "both" else (args.mode,)
+    # both sweeps of --mode both read the powers from one term system
+    terms = TermSystem(I)
     docs = {
         mode: powers_report(
-            I, args.nmax, mode, window=args.window, order_max=args.order_max
+            I, args.nmax, mode, window=args.window, order_max=args.order_max, terms=terms
         ).to_document()
         for mode in modes
     }
@@ -260,7 +262,7 @@ def cmd_superficial(args, ctx, I):
 
 def cmd_closure(args, ctx, I):
     poly = newton_polyhedron(I)
-    # One chain of closures serves every analysis of this command.
+    # The chain is the command's term system: every analysis reads its closures.
     closures = ClosureChain(I)
     exponent = noetherian_exponent(I, l_max=4, n_max=min(args.nmax, 6), closures=closures)
     rees = rees_cofinality_constant(I, m_max=args.nmax, closures=closures)

@@ -26,9 +26,10 @@ closure(I^n), and a lies in I * closure(I^n).
 The bound is sharp: closure((x^3, y^3)) is not (x^3, y^3), and for
 I = (x^3, y^3, z^3) closure(I^2) is not I * closure(I).  Reid, Roberts and
 Vitulli (Comm. Algebra 31, 2003) use the same bound to decide normality of
-a monomial ideal from its powers below d.  So :class:`ClosureChain` scans
-the lattice points of the dilation only for n < max(d, 2) and multiplies by
-I above that.
+a monomial ideal from its powers below d.  So closures follow the
+recurrence of ordinary powers, T(n) = I * T(n - 1), and differ from them
+only in a scanned head: :class:`ClosureChain` is the term system whose head
+holds the closures below max(d, 2), the lattice points of their dilations.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from math import gcd
 from typing import Optional
 
 from .errors import DimensionLimitError
-from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides, unit_ideal
-from .superficial import TermSystem, cofinality_table
+from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
+from .superficial import TermSystem, cofinality_table, terms_for
 
 _MAX_HULL_VARS = 6
 
@@ -183,12 +184,12 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     Below n = max(d, 2) the lattice points are scanned: minimal members have
     each coordinate at most n times the largest exponent of that variable
     among the generators, so the scan over that box with divisibility pruning
-    is exhaustive.  Higher powers come from a :class:`ClosureChain`.
+    is exhaustive.  Higher powers are read from a :class:`ClosureChain`.
     """
     if n < 1:
         raise ValueError("the power must be at least 1")
     if n >= _scan_below(I):
-        return ClosureChain(I)(n)
+        return ClosureChain(I).term(n)
     poly = newton_polyhedron(I)
     box = tuple(v * n for v in I.box())
     kept = []
@@ -205,36 +206,17 @@ def _scan_below(I: MonomialIdeal) -> int:
     return max(I.ctx.num_vars, 2)
 
 
-class ClosureChain:
-    """The closures closure(I^n), n >= 0, of one ideal, memoized and built upward.
+class ClosureChain(TermSystem):
+    """The term system T(n) = closure(I^n) of one ideal, one per command.
 
-    Powers below max(d, 2) are scanned by :func:`integral_closure_power`;
-    each later one is I times the one before.  A chain lives as long as its
-    caller keeps it: one per command, never per process.
+    Its head, the closures below max(d, 2), is scanned by
+    :func:`integral_closure_power` when the chain is made; every later term
+    is I times the one before, the recurrence of :class:`TermSystem`.
     """
 
     def __init__(self, I: MonomialIdeal):
-        self.I = I
-        self._closures = [unit_ideal(I.ctx)]
-
-    def __call__(self, n: int) -> MonomialIdeal:
-        if n < 0:
-            raise ValueError("the power must be nonnegative")
-        closures = self._closures
-        for k in range(len(closures), n + 1):
-            if k < _scan_below(self.I):
-                closures.append(integral_closure_power(self.I, k))
-            else:
-                closures.append(self.I * closures[k - 1])
-        return closures[n]
-
-
-def _chain_for(I: MonomialIdeal, closures: "ClosureChain | None") -> ClosureChain:
-    if closures is None:
-        return ClosureChain(I)
-    if closures.I != I:
-        raise ValueError("the closure chain belongs to another ideal")
-    return closures
+        super().__init__(I)
+        self._terms.extend(integral_closure_power(I, k) for k in range(1, _scan_below(I)))
 
 
 @dataclass(frozen=True)
@@ -261,13 +243,13 @@ def noetherian_exponent(
     When no l up to l_max verifies, the result records where each candidate
     first failed.  The closures are read from ``closures`` when given.
     """
-    closures = _chain_for(I, closures)
+    closures = terms_for(I, closures, ClosureChain)
     failures = []
     for l in range(1, l_max + 1):
-        closed = TermSystem(closures(l))
+        closed = TermSystem(closures.term(l))
         first_bad = None
         for n in range(1, n_max + 1):
-            if closed.term(n) != closures(l * n):
+            if closed.term(n) != closures.term(l * n):
                 first_bad = n
                 break
         if first_bad is None:
@@ -285,7 +267,7 @@ def rees_cofinality_constant(
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
-    table = cofinality_table(I, m_max, term_fn=_chain_for(I, closures))
+    table = cofinality_table(I, m_max, terms_for(I, closures, ClosureChain))
     return max([0] + [m - j for m, j in enumerate(table, 1)])
 
 
@@ -298,4 +280,4 @@ def closure_powers_report(
     """
     from .powers import powers_report
 
-    return powers_report(I, n_max, term_fn=_chain_for(I, closures), **kwargs)
+    return powers_report(I, n_max, terms=terms_for(I, closures, ClosureChain), **kwargs)

@@ -106,7 +106,8 @@ def filtration_bound_check(I: MonomialIdeal, n_max: int, report) -> tuple:
     For a monomial prime P the torsion of R/P has length 1 when P is the
     maximal ideal and 0 otherwise, so the filtration's semi-additivity bound
     collapses to the maximal-ideal multiplicity.  ``report`` must be a powers
-    report for the same ideal covering at least n_max.
+    report filtering R/I^n for n up to n_max; a closure sweep has the same
+    ideal but filters other modules.
     """
     if report.ideal != I:
         raise ValueError("the report covers a different ideal")
@@ -116,6 +117,8 @@ def filtration_bound_check(I: MonomialIdeal, n_max: int, report) -> tuple:
     maximal = MonomialPrime(tuple(range(I.ctx.num_vars)))
     rows = []
     for n in range(1, n_max + 1):
+        if report.filtrations[n].base != ts.term(n):
+            raise ValueError(f"the report does not filter R/I^{n}")
         length = h0_length(ts.term(n))
         mu = report.ledger_of(n).get(maximal, 0)
         rows.append(BoundCheckRow(n, length, mu, length <= mu))

@@ -37,7 +37,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .decomposition import associated_primes
 from .errors import CertificateError
@@ -52,6 +52,7 @@ from .superficial import (
     TermSystem,
     _colon_identity_holds,
     search_certificate,
+    terms_for,
 )
 
 # Trailing window of the stabilization detectors by default.
@@ -59,19 +60,19 @@ WINDOW = 4
 
 
 class FiltrationEngine:
-    """Shared state for one sweep: term ideals, certificates, and memoized builds."""
+    """Shared state for one sweep: its term system, certificates, and memoized builds."""
 
     def __init__(
         self,
         I: MonomialIdeal,
         *,
-        term_fn: "Callable[[int], MonomialIdeal] | None" = None,
+        terms: "TermSystem | None" = None,
         order_max: int = ORDER_MAX,
         verify_to: int = 24,
     ):
         if I.is_zero() or I.is_unit():
             raise ValueError("the filtration ideal must be proper and nonzero")
-        self.ts = TermSystem(I, term_fn)
+        self.ts = terms_for(I, terms)
         self.ctx = I.ctx
         self.order_max = order_max
         self.verify_to = verify_to
@@ -307,10 +308,12 @@ def powers_report(
     *,
     window: int = WINDOW,
     order_max: int = ORDER_MAX,
-    term_fn: "Callable[[int], MonomialIdeal] | None" = None,
+    terms: "TermSystem | None" = None,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
 
+    Level n is the term T(n) of ``terms``, a term system of I shared by the
+    sweeps given it, or I^n when it is None.
     Raises :class:`CertificateError` if any emitted filtration fails
     re-validation, which pipelines surface as exit code 2.
     """
@@ -327,9 +330,9 @@ def powers_report(
     engine = None
     cert = None
     if mode == "theorem":
-        engine = FiltrationEngine(I, term_fn=term_fn, order_max=order_max, verify_to=2 * n_max)
+        engine = FiltrationEngine(I, terms=terms, order_max=order_max, verify_to=2 * n_max)
         cert = engine.root_certificate()
-    ts = engine.ts if engine is not None else TermSystem(I, term_fn)
+    ts = engine.ts if engine is not None else terms_for(I, terms)
 
     records = []
     filtrations = {}

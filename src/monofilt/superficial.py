@@ -19,7 +19,7 @@ never stands in for a superficial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .ring import Monomial, MonomialIdeal, RingContext, _checked, unit_ideal
 
@@ -77,35 +77,30 @@ class SpliceCertificate:
 class TermSystem:
     """Caches the term ideals T(n) of a filtration of R, T(n) + J, and their colons.
 
+    One recurrence builds every term: T(n) = I * T(n - 1) past a head
+    T(0), ..., T(k - 1).  The head is (R,) for ordinary powers, T(n) = I^n;
+    :class:`~monofilt.closure.ClosureChain` seeds a longer one.  T(n) must be
+    descending with T(a) * T(b) contained in T(a + b), and T(n) for n <= 0
+    is T(0), the unit ideal.
+
     The colons (T(n) + J) : x and J : x by a candidate x are what the
     certificate searches and the engine's recheck compare; each is computed
     once per system.
-
-    The default system is ordinary powers T(n) = I^n; the closure pipeline
-    substitutes n -> integral closure of I^n.  T(n) must be descending with
-    T(a) * T(b) contained in T(a + b); T(0) is the unit ideal.
     """
 
-    def __init__(self, I: MonomialIdeal, term_fn: "Callable[[int], MonomialIdeal] | None" = None):
+    def __init__(self, I: MonomialIdeal):
         self.I = I
         self.ctx = I.ctx
-        self._term_fn = term_fn
-        self._terms = {0: unit_ideal(I.ctx)}
+        self._terms = [unit_ideal(I.ctx)]
         self._sums = {}
         self._colons = {}
         self._annihilator_colons = {}
 
     def term(self, n: int) -> MonomialIdeal:
-        if n <= 0:
-            return self._terms[0]
-        if n not in self._terms:
-            if self._term_fn is None:
-                # Ordinary powers are cached for 0..top; fill the missing ones upward.
-                for k in range(len(self._terms), n + 1):
-                    self._terms[k] = self._terms[k - 1] * self.I
-            else:
-                self._terms[n] = self._term_fn(n)
-        return self._terms[n]
+        terms = self._terms
+        for _ in range(len(terms), n + 1):
+            terms.append(self.I * terms[-1])
+        return terms[n if n > 0 else 0]
 
     def term_plus(self, J: MonomialIdeal, n: int) -> MonomialIdeal:
         """T(n) + J, cached; the base ideal of the module level n."""
@@ -127,6 +122,17 @@ class TermSystem:
         if key not in self._annihilator_colons:
             self._annihilator_colons[key] = J.colon_monomial(x)
         return self._annihilator_colons[key]
+
+
+def terms_for(I: MonomialIdeal, terms: "TermSystem | None", kind: type = TermSystem) -> TermSystem:
+    """``terms`` once it is checked to be a ``kind`` of I, or a new ``kind(I)`` for None."""
+    if terms is None:
+        return kind(I)
+    if not isinstance(terms, kind):
+        raise ValueError(f"expected a {kind.__name__}, got a {type(terms).__name__}")
+    if terms.I != I:
+        raise ValueError(f"the {kind.__name__} belongs to another ideal")
+    return terms
 
 
 def _defining_condition_holds(
@@ -271,14 +277,13 @@ def verify_certificate(module: CyclicFilteredModule, cert: SuperficialCertificat
 def cofinality_table(
     I: MonomialIdeal,
     n_max: int,
-    term_fn: "Callable[[int], MonomialIdeal] | None" = None,
+    terms: "TermSystem | None" = None,
     J: "MonomialIdeal | None" = None,
 ) -> list:
     """For each n, the largest k with T(n) + J contained in I^k + J.
 
-    The table certifies cofinality of the term filtration with ordinary
-    powers over the verified range; it must be nondecreasing for a monotone
-    term function.
+    T is ``terms``, a term system of I, or ordinary powers for None.  The table
+    certifies cofinality of T with ordinary powers over the verified range.
     """
     ctx = I.ctx
     if I.is_zero() or I.is_unit():
@@ -287,7 +292,7 @@ def cofinality_table(
         J = MonomialIdeal(ctx, ())
     if J.contains_ideal(I):
         raise ValueError("the filtration ideal acts as zero modulo the annihilator")
-    ts = TermSystem(I, term_fn)
+    ts = terms_for(I, terms)
     powers = TermSystem(I)
     table = []
     previous_term = None
@@ -295,7 +300,7 @@ def cofinality_table(
     for n in range(1, n_max + 1):
         t = ts.term(n)
         if previous_term is not None and not previous_term.contains_ideal(t):
-            raise ValueError("term function is not monotone decreasing")
+            raise ValueError("the term ideals are not descending")
         previous_term = t
         if J.contains_ideal(t):
             raise ValueError(f"term ideal at level {n} vanishes modulo the annihilator")

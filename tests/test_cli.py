@@ -3,6 +3,7 @@ from pathlib import Path
 
 from monofilt import cli
 from monofilt.filtration import ValidationResult
+from monofilt.superficial import TermSystem
 
 
 def run(tmp_path, *argv):
@@ -362,6 +363,29 @@ def test_golden_powers_both_modes_json(tmp_path):
     code, text = run(tmp_path, *args)
     assert code == 0
     assert text == golden.read_text(encoding="utf-8")
+
+
+def test_golden_closure_three_variables_json(tmp_path):
+    # closure(I^2) is not I * closure(I) here: the chain's head holds two scanned closures.
+    golden = Path(__file__).parent / "golden" / "closure_xyz_nmax4.json"
+    args = ("closure", "--ideal", "vars: x,y,z ; ideal: x^3, y^3, z^3", "--nmax", "4")
+    code, text = run(tmp_path, *args, "--format", "json")
+    assert code == 0
+    assert text == golden.read_text(encoding="utf-8")
+
+
+def test_powers_both_modes_share_one_term_system(tmp_path, monkeypatch):
+    made = []
+    init = TermSystem.__init__
+
+    def counted(self, I):
+        made.append(I)
+        init(self, I)
+
+    monkeypatch.setattr(TermSystem, "__init__", counted)
+    code, _ = run(tmp_path, "powers", "--mode", "both", "--ideal", IDEAL, "--nmax", "4")
+    assert code == 0
+    assert len(made) == 1
 
 
 def test_golden_superficial_not_found_csv(tmp_path):

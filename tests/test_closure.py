@@ -20,6 +20,8 @@ from monofilt import (
 
 import monofilt.closure as closure
 from monofilt import cli
+from monofilt.powers import FiltrationEngine
+from monofilt.superficial import TermSystem, cofinality_table
 
 import oracles
 
@@ -130,9 +132,9 @@ def test_closure_matches_reference(seed):
     I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=4, max_exp=4)
     closures = ClosureChain(I)
     for n in range(1, I.ctx.num_vars + 4):
-        assert closures(n) == oracles.reference_integral_closure_power(I, n), n
+        assert closures.term(n) == oracles.reference_integral_closure_power(I, n), n
     n = rng.randint(1, I.ctx.num_vars + 3)
-    assert integral_closure_power(I, n) == closures(n)
+    assert integral_closure_power(I, n) == closures.term(n)
 
 
 @pytest.mark.parametrize(
@@ -144,8 +146,8 @@ def test_reduction_cannot_start_one_step_earlier(text, n):
     ctx, I = parse_problem(text)
     assert n == ctx.num_vars - 2
     closures = ClosureChain(I)
-    assert closures(n + 1) == oracles.reference_integral_closure_power(I, n + 1)
-    assert closures(n + 1) != I * closures(n)
+    assert closures.term(n + 1) == oracles.reference_integral_closure_power(I, n + 1)
+    assert closures.term(n + 1) != I * closures.term(n)
 
 
 def test_closure_command_scans_one_box(monkeypatch):
@@ -162,14 +164,40 @@ def test_closure_command_scans_one_box(monkeypatch):
 
 
 def test_closure_chain_belongs_to_its_ideal(kxy):
-    closures = ClosureChain(parse_ideal("x^3, y^3", kxy))
+    I = parse_ideal("x^3, y^3", kxy)
+    closures = ClosureChain(I)
     other = parse_ideal("x^2, y^3", kxy)
-    with pytest.raises(ValueError, match="another ideal"):
-        noetherian_exponent(other, 2, 2, closures=closures)
-    with pytest.raises(ValueError, match="another ideal"):
-        rees_cofinality_constant(other, 3, closures=closures)
-    with pytest.raises(ValueError, match="another ideal"):
-        closure_powers_report(other, 3, closures=closures)
+    closure_entries = (
+        lambda J, chain: noetherian_exponent(J, 2, 2, closures=chain),
+        lambda J, chain: rees_cofinality_constant(J, 3, closures=chain),
+        lambda J, chain: closure_powers_report(J, 3, closures=chain),
+    )
+    for entry in closure_entries:
+        with pytest.raises(ValueError, match="another ideal"):
+            entry(other, closures)
+        # ordinary powers would silently stand in for the closures
+        with pytest.raises(ValueError, match="expected a ClosureChain"):
+            entry(I, TermSystem(I))
+    term_entries = (
+        lambda J, terms: powers_report(J, 3, terms=terms),
+        lambda J, terms: powers_report(J, 3, "naive", terms=terms),
+        lambda J, terms: FiltrationEngine(J, terms=terms),
+        lambda J, terms: cofinality_table(J, 3, terms=terms),
+    )
+    for entry in term_entries:
+        for terms in (closures, TermSystem(I)):
+            with pytest.raises(ValueError, match="another ideal"):
+                entry(other, terms)
+        with pytest.raises(ValueError, match="expected a TermSystem"):
+            entry(I, closures.term)
+
+
+def test_closure_report_keeps_its_colons_on_the_chain(kxy):
+    I = parse_ideal("x^3, y^3", kxy)
+    chain = ClosureChain(I)
+    report = closure_powers_report(I, 4, closures=chain)
+    assert report.engine.ts is chain
+    assert report.filtrations[2].base == chain.term(2)
 
 
 def test_noetherian_exponent(kxy):
@@ -215,7 +243,7 @@ def test_rees_constant_matches_reference():
     def check(I, m_max):
         assert rees_cofinality_constant(I, m_max) == oracles.reference_rees_cofinality_constant(I, m_max)
         closures = ClosureChain(I)
-        non_closed.append(any(closures(n) != I**n for n in range(1, I.ctx.num_vars + 4)))
+        non_closed.append(any(closures.term(n) != I**n for n in range(1, I.ctx.num_vars + 4)))
 
     check()
     assert sum(non_closed) > len(non_closed) / 2, (sum(non_closed), len(non_closed))

@@ -4,6 +4,7 @@ from hypothesis import example, given, strategies as st
 from monofilt import (
     MonomialPrime,
     associated_primes,
+    closure_powers_report,
     context,
     epsilon_estimate,
     filtration_bound_check,
@@ -60,6 +61,16 @@ def test_bound_check_examples(kxy):
     assert all(row.ok for row in rows)
     # mu for the maximal ideal is n^2 here while the torsion length is n(n+1)/2
     assert [row.maximal_multiplicity for row in rows] == [n * n for n in range(1, 13)]
+
+
+def test_bound_check_rejects_a_report_of_other_modules(kxy):
+    # The closure sweep has the same ideal but filters R/closure(I^n); its
+    # multiplicities would fail the bound falsely (length 9 against 6 at n = 1).
+    I = parse_ideal("x^3, y^3", kxy)
+    with pytest.raises(ValueError, match="does not filter R/I\\^1"):
+        filtration_bound_check(I, 6, closure_powers_report(I, 6))
+    for mode in ("naive", "theorem"):
+        assert all(row.ok for row in filtration_bound_check(I, 6, powers_report(I, 6, mode)))
 
 
 def test_bound_check_equality_case(kxy):

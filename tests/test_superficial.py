@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monofilt import (
+    ClosureChain,
     CyclicFilteredModule,
     cofinality_table,
     colon_threshold,
     context,
     find_superficial,
     ideal,
-    integral_closure_power,
     parse_ideal,
     parse_problem,
     verify_certificate,
@@ -216,7 +216,7 @@ def test_cofinality_plain_powers(kxy):
 
 def test_cofinality_closure_terms(kxy):
     I = parse_ideal("x^3, y^3", kxy)
-    table = cofinality_table(I, 12, term_fn=lambda n: integral_closure_power(I, n))
+    table = cofinality_table(I, 12, terms=ClosureChain(I))
     assert all(k >= n - 1 for n, k in enumerate(table, start=1))
     assert table == sorted(table)
 
