@@ -298,10 +298,12 @@ def cmd_closure(args, ctx, I):
 
 
 def cmd_epsilon(args, ctx, I):
-    estimate = epsilon_estimate(I, args.nmax)
+    # one term system: the bound check reads the powers and lengths of the estimate
+    terms = TermSystem(I)
+    estimate = epsilon_estimate(I, args.nmax, terms=terms)
     check_to = min(args.nmax, 12)
-    report = powers_report(I, check_to, "theorem", order_max=args.order_max)
-    bound = filtration_bound_check(I, check_to, report)
+    report = powers_report(I, check_to, "theorem", order_max=args.order_max, terms=terms)
+    bound = filtration_bound_check(I, check_to, report, terms=terms)
     body = estimate.to_document()
     body["bound_check"] = [
         {"n": row.n, "length": row.length, "maximal_multiplicity": row.maximal_multiplicity, "ok": row.ok}

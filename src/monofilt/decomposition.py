@@ -8,7 +8,8 @@ support at once.  The irreducible components come from the same grid: by
 Alexander duality they are its points w with (J : w) prime that sit at the
 top of every axis off the prime's support.  Both scans decide each cell
 from the generator bitmasks of :func:`~monofilt.ring.corner_masks`, built
-once per scan; the witness scan leaves out the cells inside the ideal.
+once per scan; the witness scan leaves out the cells inside the ideal.  The
+greedy filtration seeds its witness frontier from the same walk.
 """
 
 from __future__ import annotations
@@ -60,12 +61,16 @@ class MonomialPrime:
 def colon_prime_support(masks, w: Monomial) -> "tuple | None":
     """Support of (U : w) when that colon is prime, for a point w of the grid.
 
-    ``masks`` is the :func:`~monofilt.ring.corner_masks` table of the
-    antichain of U on a grid holding w.  Returns None when w lies in U or
-    the colon is not prime.  Generator j leaves the residue x_i exactly when
-    i is the only axis where g_j exceeds w and g_j[i] = w_i + 1; those i are
-    the units.  The colon is prime exactly when every residue is divisible
-    by a unit, that is when the OR of the units' ``above`` masks is full.
+    ``masks`` is a :func:`~monofilt.ring.corner_masks` table on a grid
+    holding w, except that its ``full`` is the mask of the generators of U:
+    the table may hold further bits, such as generators a chain ideal has
+    since dropped, and every row counts only where it meets ``full`` (AND
+    distributes over the ORs below, so the sums are masked, not each row).
+    Returns None when w lies in U or the colon is not prime.  Generator j
+    leaves the residue x_i exactly when i is the only axis where g_j exceeds
+    w and g_j[i] = w_i + 1; those i are the units.  The colon is prime
+    exactly when every residue is divisible by a unit, that is when the OR
+    of the units' ``above`` masks covers ``full``.
     """
     full, above, exact = masks
     rows = [col[a] for col, a in zip(above, w)]
@@ -73,16 +78,16 @@ def colon_prime_support(masks, w: Monomial) -> "tuple | None":
     for m in rows:
         twice |= once & m
         once |= m
-    if once != full:
+    if once & full != full:
         return None  # some generator exceeds w nowhere: w in U
-    single = full ^ twice  # generators that exceed w on exactly one axis
+    single = full & ~twice  # generators that exceed w on exactly one axis
     units = []
     covered = 0
     for i, col in enumerate(exact):
         if single & col[w[i]]:
             units.append(i)
             covered |= rows[i]
-    return tuple(units) if covered == full else None
+    return tuple(units) if covered & full == full else None
 
 
 @dataclass(frozen=True, order=True)
@@ -119,29 +124,19 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple:
     return tuple(sorted(components))
 
 
-def _witness_for(gens, d: int) -> dict:
-    """Map each prime colon support S of U to the grlex-least w with (U : w) = P_S.
+def _prime_cells(axes, masks):
+    """(support of (U : w), w) for each cell w of the grid whose colon is prime.
 
-    ``gens`` is the antichain of U in d variables.  The scan covers the corner
-    grid only: for i outside S, lowering w_i to the largest generator exponent
-    g_i <= w_i, or to 0, keeps the colon equal to P_S; for i in S, w_i = g_i - 1
-    where g is the generator whose residue is x_i.  So every least witness has
-    its exponents on the axes of :func:`corner_axes`.  The grid is walked once
-    in product order, keeping the grlex-least hit per support.
-
+    ``axes`` and ``masks`` are a grid and its :func:`corner_masks` table.
     Cells inside U have no prime colon and are skipped unscanned.  For each
     prefix of the leading axes the OR of their ``above`` rows is taken once;
     a cell lies in U when that OR and the last axis's row together miss a
     generator.  Membership only grows along the last axis, so its walk
     upward stops at the first cell in U.
     """
-    axes = corner_axes(gens, d)
-    masks = corner_masks(gens, axes)
     full, above, _ = masks
     *lead, last = axes
     last_rows = [(a, above[-1][a]) for a in last]
-    found = {}
-    keys = {}
     for prefix in product(*lead):
         reach = 0
         for col, a in zip(above, prefix):
@@ -152,10 +147,27 @@ def _witness_for(gens, d: int) -> dict:
             w = prefix + (a,)
             supp = colon_prime_support(masks, w)
             if supp is not None:
-                key = grlex_key(w)
-                if supp not in keys or key < keys[supp]:
-                    keys[supp] = key
-                    found[supp] = w
+                yield supp, w
+
+
+def _witness_for(gens, d: int) -> dict:
+    """Map each prime colon support S of U to the grlex-least w with (U : w) = P_S.
+
+    ``gens`` is the antichain of U in d variables.  The scan covers the corner
+    grid only: for i outside S, lowering w_i to the largest generator exponent
+    g_i <= w_i, or to 0, keeps the colon equal to P_S; for i in S, w_i = g_i - 1
+    where g is the generator whose residue is x_i.  So every least witness has
+    its exponents on the axes of :func:`corner_axes`, and one walk of that
+    grid by :func:`_prime_cells` finds them all.
+    """
+    axes = corner_axes(gens, d)
+    found = {}
+    keys = {}
+    for supp, w in _prime_cells(axes, corner_masks(gens, axes)):
+        key = grlex_key(w)
+        if supp not in keys or key < keys[supp]:
+            keys[supp] = key
+            found[supp] = w
     return found
 
 

@@ -14,7 +14,7 @@ from itertools import product as _cartesian  # noqa: F401  bench/tracer.py count
 
 from .decomposition import MonomialPrime
 from .ring import MonomialIdeal, ideal
-from .superficial import TermSystem
+from .superficial import TermSystem, terms_for
 
 
 def h0_length(J: MonomialIdeal) -> int:
@@ -63,20 +63,32 @@ class EpsilonEstimate:
         }
 
 
-def epsilon_estimate(I: MonomialIdeal, n_max: int) -> EpsilonEstimate:
+def _powers_of(I: MonomialIdeal, terms: "TermSystem | None") -> TermSystem:
+    # Torsion lengths are taken of R/I^n, so only the ordinary powers will do.
+    ts = terms_for(I, terms)
+    if type(ts) is not TermSystem:
+        raise ValueError(f"torsion lengths need the powers of I, not a {type(ts).__name__}")
+    return ts
+
+
+def epsilon_estimate(
+    I: MonomialIdeal, n_max: int, *, terms: "TermSystem | None" = None
+) -> EpsilonEstimate:
     """Torsion lengths of R/I^n for n up to n_max and the limsup proxy.
 
     The normalization exponent is the ring dimension, the largest the
     lengths can grow like; the estimate is the maximum of the normalized
-    values over the trailing quarter of the range.
+    values over the trailing quarter of the range.  ``terms``, a term
+    system of the powers of I, keeps the lengths for a later
+    :func:`filtration_bound_check` given the same system.
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     d = I.ctx.num_vars
-    ts = TermSystem(I)
-    lengths = [(n, h0_length(ts.term(n))) for n in range(1, n_max + 1)]
+    ts = _powers_of(I, terms)
+    lengths = [(n, ts.memo(h0_length, n)) for n in range(1, n_max + 1)]
     factor = math.factorial(d)
     normalized = [(n, factor * l / n**d) for n, l in lengths]
     window = max(1, math.ceil(n_max / 4))
@@ -100,26 +112,29 @@ class BoundCheckRow:
     ok: bool
 
 
-def filtration_bound_check(I: MonomialIdeal, n_max: int, report) -> tuple:
+def filtration_bound_check(
+    I: MonomialIdeal, n_max: int, report, *, terms: "TermSystem | None" = None
+) -> tuple:
     """Verify length(sat/I^n) <= multiplicity of the maximal ideal, per level.
 
     For a monomial prime P the torsion of R/P has length 1 when P is the
     maximal ideal and 0 otherwise, so the filtration's semi-additivity bound
     collapses to the maximal-ideal multiplicity.  ``report`` must be a powers
     report filtering R/I^n for n up to n_max; a closure sweep has the same
-    ideal but filters other modules.
+    ideal but filters other modules.  ``terms``, a term system of the powers
+    of I, supplies the powers and any lengths it already holds.
     """
     if report.ideal != I:
         raise ValueError("the report covers a different ideal")
     if report.n_max < n_max:
         raise ValueError("the report does not cover the requested range")
-    ts = TermSystem(I)
+    ts = _powers_of(I, terms)
     maximal = MonomialPrime(tuple(range(I.ctx.num_vars)))
     rows = []
     for n in range(1, n_max + 1):
         if report.filtrations[n].base != ts.term(n):
             raise ValueError(f"the report does not filter R/I^{n}")
-        length = h0_length(ts.term(n))
+        length = ts.memo(h0_length, n)
         mu = report.ledger_of(n).get(maximal, 0)
         rows.append(BoundCheckRow(n, length, mu, length <= mu))
     return tuple(rows)

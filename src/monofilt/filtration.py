@@ -9,14 +9,16 @@ read off the steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from operator import attrgetter, itemgetter
 
 from .decomposition import (
     MonomialPrime,
-    _witness_for,
-    colon_prime_support,  # noqa: F401  bench/tracer.py counts cells through it
+    _prime_cells,
+    colon_prime_support,
     dimension,
     minh,
     prime_avoidance_element,
@@ -28,7 +30,6 @@ from .ring import (
     corner_axes,
     corner_masks,
     grlex_key,
-    mono_divides,
     mono_mul,
     mono_support,
 )
@@ -64,11 +65,6 @@ class ValidationResult:
         return self.ok
 
 
-def _add_generator(gens: list, w: Monomial) -> list:
-    """Antichain update for gens + (w); assumes no generator divides w."""
-    return [g for g in gens if not mono_divides(w, g)] + [w]
-
-
 def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
     """Greedy prime filtration of R/J.
 
@@ -76,18 +72,111 @@ def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
     w with (U : w) prime, for each prime support), keep the supports maximal
     under inclusion, and adjoin the grlex-least of their witnesses.
     Termination: each step strictly enlarges U inside a Noetherian poset.
+
+    The witness map is kept up to date, not rescanned.  One walk of the
+    corner grid of J (:func:`~monofilt.decomposition._prime_cells`) puts
+    every cell with a prime colon on a grlex-sorted queue for its support.
+    The mask table then grows by one bit per witness, with ``alive`` marking
+    the generators of U as in :func:`validate`, and each axis gains the
+    values w_i and w_i - 1.  A queue's head is rechecked before it is read
+    and dropped once its colon has moved: colons only grow as U grows, so a
+    colon that has left P_T never returns to it.
+
+    Update rule.  Let (U : w) = P_S and U' = U + (w), and call a witness v
+    of T *reduced* when no v - e_i, i outside T, is one.  The least witness
+    is reduced, and a reduced witness lies on the corner grid of U: for i in
+    T, v_i = g_i - 1 for the generator g whose residue is x_i, and for i
+    outside T, v_i is 0 or a generator exponent, since lowering it to the
+    next such value keeps the colon.  The first walk therefore queues every
+    reduced witness of J.  Then:
+
+    * (U' : v) = (U : v) + (w / gcd(w, v)), and w / gcd(w, v) lies in
+      (U : v) exactly when lcm(w, v) / w lies in P_S, that is when
+      v_i > w_i for some i in S.  So the colon at v changes exactly on the
+      region v_i <= w_i for every i in S.
+    * In the region the new colon is prime only if the added generator m
+      is one of its minimal generators, a variable x_j: v_j = w_j - 1, v
+      agrees with w on S minus j, and v >= w off S and j.  These cells are
+      scanned on the grown grid and queued.
+    * A witness v of T for U' that is reduced for U' and lies outside the
+      region witnesses T for U and is reduced for U, so it is queued
+      already.  Otherwise some v' = v - e_i, i outside T,
+      witnesses T for U; v' must lie in the region, or it would witness T
+      for U' too, so i is in S with v_i = w_i + 1.  But then
+      w / gcd(w, v') = w / gcd(w, v), which lies in P_T for v and outside
+      it for v'.
+
+    By induction every queue holds every reduced witness of its support, so
+    its checked head is the least witness; cells outside the region,
+    whether on old or on new axis values, need no scan.
     """
     d = J.ctx.num_vars
-    unit = J.ctx.unit_monomial()
-    gens = list(J.generators)
+    if J.is_unit():
+        return PrimeFiltration(J, ())
+    gens = J.generators
+    axes = [list(axis) for axis in corner_axes(gens, d)]
+    masks = corner_masks(gens, axes)
+    alive, above, exact = masks
+    queues = {}
+    for supp, v in _prime_cells(axes, masks):
+        queues.setdefault(supp, []).append((grlex_key(v), v))
+    for queue in queues.values():
+        queue.sort()
+    bit = alive + 1  # the bit of the next witness
+    primes = {}
     steps = []
-    while gens != [unit]:
-        found = _witness_for(gens, d)
-        maximal = [s for s in found if not any(set(s) < set(t) for t in found)]
-        supp = min(maximal, key=lambda s: grlex_key(found[s]))
-        steps.append((found[supp], MonomialPrime(supp)))
-        gens = _add_generator(gens, found[supp])
-    return PrimeFiltration(J, tuple(steps))
+    while True:
+        tops = []
+        for supp, queue in queues.items():
+            while queue and colon_prime_support(masks, queue[0][1]) != supp:
+                del queue[0]
+            if queue:
+                tops.append((queue[0], supp, set(supp)))
+        # the least witness among the supports maximal under inclusion
+        (_, w), supp, _ = min(top for top in tops if not any(top[2] < t[2] for t in tops))
+        if supp not in primes:
+            primes[supp] = MonomialPrime(supp)
+        steps.append((w, primes[supp]))
+        if not any(w):
+            return PrimeFiltration(J, tuple(steps))
+        multiples = alive  # live generators that w divides
+        for i, a in enumerate(w):
+            if a:
+                _insert_value(axes[i], above[i], exact[i], a - 1)
+                _insert_value(axes[i], above[i], exact[i], a)
+                multiples &= above[i][a - 1]
+                exact[i][a - 1] |= bit
+                row = above[i]
+                for b in axes[i][: bisect_left(axes[i], a)]:
+                    row[b] |= bit
+        alive = alive & ~multiples | bit
+        bit <<= 1
+        masks = (alive, above, exact)
+        for j, a in enumerate(w):
+            if not a:
+                continue
+            choices = [axis[bisect_left(axis, b):] for axis, b in zip(axes, w)]
+            for i in supp:
+                choices[i] = (w[i],)
+            choices[j] = (a - 1,)
+            for v in product(*choices):
+                found = colon_prime_support(masks, v)
+                if found is not None:
+                    insort(queues.setdefault(found, []), (grlex_key(v), v))
+
+
+def _insert_value(axis: list, above: dict, exact: dict, a: int) -> None:
+    """Put the value a on one axis of a growing mask table, if it is new.
+
+    Every generator exponent lies on the axis, and so does g_i - 1 for each
+    generator g, so no generator has g_i in (b, a] for the next value b below
+    a, nor g_i = a + 1: a takes b's ``above`` row and an empty ``exact`` row.
+    """
+    if a not in above:
+        k = bisect_left(axis, a)
+        axis.insert(k, a)
+        above[a] = above[axis[k - 1]]
+        exact[a] = 0
 
 
 def _first_malformed(steps, d: int) -> "int | None":

@@ -347,7 +347,7 @@ def powers_report(
             raise CertificateError(
                 f"filtration of level {n} failed validation at step {verdict.step}: {verdict.reason}"
             )
-        ass = tuple(associated_primes(ts.term(n)))
+        ass = tuple(ts.memo(associated_primes, n))
         ledger = tuple(sorted(filtration.ledger().items()))
         record = PowerRecord(
             n=n,

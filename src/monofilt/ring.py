@@ -16,11 +16,10 @@ and every other operation sorts and prunes its derived monomials unchecked.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from operator import add, le, neg
+from operator import add, itemgetter, le, neg
 from typing import Iterable, Union
 
 from .errors import IdealSyntaxError, InfiniteLengthError
@@ -307,18 +306,34 @@ class MonomialIdeal:
         Finite exactly when every variable appears as a pure power among the
         generators, the unit monomial included (the unit ideal has colength
         0); otherwise :class:`InfiniteLengthError` identifies an unbounded
-        variable.  The count adds the volumes of the corner regions whose
-        least corner lies outside the ideal, decided by the mask table of
-        :func:`corner_masks`.
+        variable.  The count runs over the staircase of the last variable:
+        membership of (p, t), with p on the first d - 1 variables, changes
+        only where p crosses a generator exponent, and within one box of such
+        values the monomials outside the ideal are those with t below the
+        least last exponent among the generators that p does not exceed.
+        With the mask bits ordered by last exponent, that is the lowest set
+        bit of ``full & ~reach``, where ``reach`` holds the generators that
+        exceed p somewhere; the pure power of the last variable never does.
         """
+        d = self.ctx.num_vars
         for i, name in enumerate(self.ctx.variable_names):
             if not any(mono_support(g) in ((), (i,)) for g in self.generators):
                 raise InfiniteLengthError(
                     f"R/ideal has infinite length: no pure power of '{name}' among the generators"
                 )
-        axes = corner_axes(self.generators, self.ctx.num_vars)
-        masks = corner_masks(self.generators, axes)
-        return sum(volume for corner, volume in corner_regions(axes) if lies_outside(masks, corner))
+        gens = sorted(self.generators, key=itemgetter(d - 1))
+        axes = [sorted({0} | {g[i] for g in gens}) for i in range(d - 1)]
+        full, above, _ = corner_masks(gens, axes)
+        total = 0
+        for cell in _cartesian(*(tuple(zip(axis, axis[1:])) for axis in axes)):
+            reach = 0
+            volume = 1
+            for col, (lo, hi) in zip(above, cell):
+                reach |= col[lo]
+                volume *= hi - lo
+            low = full & ~reach
+            total += volume * gens[(low & -low).bit_length() - 1][-1]
+        return total
 
     # -- presentation ------------------------------------------------------
 
@@ -402,12 +417,6 @@ def lies_outside(masks, w: Monomial) -> bool:
     for col, a in zip(above, w):
         exceeded |= col[a]
     return exceeded == full
-
-
-def corner_regions(axes):
-    """(least corner, volume) of each box between consecutive values on every axis."""
-    for spans in _cartesian(*(tuple(zip(a, a[1:])) for a in axes)):
-        yield tuple(lo for lo, _ in spans), math.prod(hi - lo for lo, hi in spans)
 
 
 # -- parsing ----------------------------------------------------------------

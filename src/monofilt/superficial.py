@@ -85,7 +85,8 @@ class TermSystem:
 
     The colons (T(n) + J) : x and J : x by a candidate x are what the
     certificate searches and the engine's recheck compare; each is computed
-    once per system.
+    once per system, and so is each per-level value read through
+    :meth:`memo`.
     """
 
     def __init__(self, I: MonomialIdeal):
@@ -95,12 +96,25 @@ class TermSystem:
         self._sums = {}
         self._colons = {}
         self._annihilator_colons = {}
+        self._memo = {}
 
     def term(self, n: int) -> MonomialIdeal:
         terms = self._terms
         for _ in range(len(terms), n + 1):
             terms.append(self.I * terms[-1])
         return terms[n if n > 0 else 0]
+
+    def memo(self, fn, n: int):
+        """fn(T(n)), computed once per system for each function and level.
+
+        The sweeps and checks that share a system share these values:
+        Ass(R/T(n)) for both sweeps of ``powers --mode both``, the torsion
+        lengths for the estimate and the bound check of ``epsilon``.
+        """
+        key = (fn, n if n > 0 else 0)
+        if key not in self._memo:
+            self._memo[key] = fn(self.term(n))
+        return self._memo[key]
 
     def term_plus(self, J: MonomialIdeal, n: int) -> MonomialIdeal:
         """T(n) + J, cached; the base ideal of the module level n."""

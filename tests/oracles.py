@@ -13,7 +13,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from monofilt.closure import newton_polyhedron
-from monofilt.ring import MonomialIdeal, context, ideal, unit_ideal
+from monofilt.decomposition import MonomialPrime, _witness_for
+from monofilt.filtration import PrimeFiltration
+from monofilt.ring import MonomialIdeal, context, grlex_key, ideal, mono_divides, unit_ideal
 from monofilt.superficial import SpliceCertificate, SuperficialCertificate
 
 
@@ -162,6 +164,32 @@ def reference_colon_prime_support(gens, w):
     if any(not any(r[i] for i in units) for r in residues):
         return None
     return tuple(sorted(units))
+
+
+def _add_generator(gens: list, w) -> list:
+    """Antichain update for gens + (w); assumes no generator divides w."""
+    return [g for g in gens if not mono_divides(w, g)] + [w]
+
+
+def reference_naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
+    """The greedy filtration with the witness map rescanned at every step.
+
+    Each step scans the whole corner grid of the chain ideal with
+    ``_witness_for`` (itself pinned to :func:`box_witnesses`), keeps the
+    supports maximal under inclusion and adjoins the grlex-least of their
+    witnesses.
+    """
+    d = J.ctx.num_vars
+    unit = J.ctx.unit_monomial()
+    gens = list(J.generators)
+    steps = []
+    while gens != [unit]:
+        found = _witness_for(gens, d)
+        maximal = [s for s in found if not any(set(s) < set(t) for t in found)]
+        supp = min(maximal, key=lambda s: grlex_key(found[s]))
+        steps.append((found[supp], MonomialPrime(supp)))
+        gens = _add_generator(gens, found[supp])
+    return PrimeFiltration(J, tuple(steps))
 
 
 def box_colength(I: MonomialIdeal) -> int:

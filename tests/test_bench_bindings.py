@@ -29,6 +29,10 @@ with redirect_stdout(io.StringIO()):
 assert code == 0, code
 assert tracer.counts["decomposition.cells_scanned"] > 0
 with redirect_stdout(io.StringIO()):
+    code = cli.main(["powers", "--mode", "naive", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "3"])
+assert code == 0, code
+assert tracer.counts["filtration.cells_scanned"] > 0, tracer.counts
+with redirect_stdout(io.StringIO()):
     code = cli.main(["closure", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "3"])
 assert code == 0, code
 assert tracer.calls["closure.integral_closure_power"] > 0, tracer.calls

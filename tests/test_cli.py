@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from monofilt import cli
+from monofilt import cli, epsilon, powers
 from monofilt.filtration import ValidationResult
 from monofilt.superficial import TermSystem
 
@@ -385,6 +385,30 @@ def test_powers_both_modes_share_one_term_system(tmp_path, monkeypatch):
     monkeypatch.setattr(TermSystem, "__init__", counted)
     code, _ = run(tmp_path, "powers", "--mode", "both", "--ideal", IDEAL, "--nmax", "4")
     assert code == 0
+    assert len(made) == 1
+
+
+def test_powers_both_modes_compute_ass_once_per_level(tmp_path, monkeypatch):
+    calls = []
+    original = powers.associated_primes
+    monkeypatch.setattr(powers, "associated_primes", lambda J: calls.append(J) or original(J))
+    args = ("powers", "--mode", "both", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "6")
+    code, _ = run(tmp_path, *args)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 6
+
+
+def test_epsilon_computes_each_torsion_length_once(tmp_path, monkeypatch):
+    # The bound check reads the estimate's lengths for n <= min(n_max, 12).
+    calls = []
+    original = epsilon.h0_length
+    monkeypatch.setattr(epsilon, "h0_length", lambda J: calls.append(J) or original(J))
+    made = []
+    init = TermSystem.__init__
+    monkeypatch.setattr(TermSystem, "__init__", lambda self, I: made.append(I) or init(self, I))
+    code, _ = run(tmp_path, "epsilon", "--ideal", IDEAL, "--nmax", "14")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 14
     assert len(made) == 1
 
 

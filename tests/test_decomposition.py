@@ -213,6 +213,20 @@ def test_mask_kernel_matches_residues_on_the_grid(J):
     assert_masks_match_residues(J)
 
 
+@given(any_ideals(), st.integers(0, 2**6 - 1))
+def test_mask_kernel_reads_only_the_live_generators(J, live):
+    # A table over more generators than U holds, as the greedy filtration
+    # keeps it, answers for U when ``full`` is U's mask of live generators.
+    gens, d = J.generators, J.ctx.num_vars
+    axes = corner_axes(gens, d)
+    full, above, exact = corner_masks(gens, axes)
+    live &= full
+    alive = [g for j, g in enumerate(gens) if live >> j & 1]
+    for w in product(*axes):
+        expected = oracles.reference_colon_prime_support(alive, w)
+        assert colon_prime_support((live, above, exact), w) == expected, (alive, w)
+
+
 def test_mask_kernel_degenerate_and_huge(kxy, kxyz):
     assert_masks_match_residues(zero_ideal(kxyz))
     assert_masks_match_residues(unit_ideal(kxyz))

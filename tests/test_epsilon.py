@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from monofilt import (
+    ClosureChain,
     MonomialPrime,
     associated_primes,
     closure_powers_report,
@@ -13,6 +14,7 @@ from monofilt import (
     parse_ideal,
     powers_report,
 )
+from monofilt.superficial import TermSystem
 
 import oracles
 
@@ -86,6 +88,20 @@ def test_bound_check_wrong_report(kxy):
         filtration_bound_check(parse_ideal("x, y", kxy), 4, report)
     with pytest.raises(ValueError):
         filtration_bound_check(parse_ideal("x", kxy), 9, report)
+
+
+def test_shared_term_system_must_hold_the_powers(kxy):
+    I = parse_ideal("x^3, y^3", kxy)
+    with pytest.raises(ValueError, match="powers of I, not a ClosureChain"):
+        epsilon_estimate(I, 4, terms=ClosureChain(I))
+    with pytest.raises(ValueError, match="another ideal"):
+        epsilon_estimate(I, 4, terms=TermSystem(parse_ideal("x, y", kxy)))
+    with pytest.raises(ValueError, match="powers of I, not a ClosureChain"):
+        filtration_bound_check(I, 4, powers_report(I, 4), terms=ClosureChain(I))
+    terms = TermSystem(I)
+    estimate = epsilon_estimate(I, 6, terms=terms)
+    rows = filtration_bound_check(I, 6, powers_report(I, 6, terms=terms), terms=terms)
+    assert [(row.n, row.length) for row in rows] == list(estimate.lengths)
 
 
 @st.composite

@@ -305,3 +305,16 @@ def test_theorem_digests_match_golden(suite_reports, curated_ideals):
             _, I = parse_problem(case["ideal"])
             report = powers_report(I, case["n_max"], "theorem")
         assert [r.digest for r in report.records] == case["digests"], case["ideal"]
+
+
+def test_naive_digests_match_golden():
+    # Per-level naive-mode digests recorded at commit 342abfe, before the
+    # greedy kept its witness map incrementally: the curated suite to n = 8,
+    # the four fixed naive jobs of the greedy-ass benchmark workload, and two
+    # 3-variable sweeps.  Any change to the greedy's choice of step shows here.
+    golden = json.loads((Path(__file__).parent / "golden" / "naive_digests.json").read_text())
+    assert len(golden) == 17
+    for case in golden:
+        _, I = parse_problem(case["ideal"])
+        report = powers_report(I, case["n_max"], "naive")
+        assert [r.digest for r in report.records] == case["digests"], case["ideal"]
