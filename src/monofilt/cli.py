@@ -194,7 +194,7 @@ def cmd_powers(args, ctx, I):
     terms = TermSystem(I)
     docs = {
         mode: powers_report(
-            I, args.nmax, mode, window=args.window, order_max=args.order_max, terms=terms
+            terms, args.nmax, mode, window=args.window, order_max=args.order_max
         ).to_document()
         for mode in modes
     }
@@ -264,11 +264,9 @@ def cmd_closure(args, ctx, I):
     poly = newton_polyhedron(I)
     # The chain is the command's term system: every analysis reads its closures.
     closures = ClosureChain(I)
-    exponent = noetherian_exponent(I, l_max=4, n_max=min(args.nmax, 6), closures=closures)
-    rees = rees_cofinality_constant(I, m_max=args.nmax, closures=closures)
-    report = closure_powers_report(
-        I, args.nmax, window=args.window, order_max=args.order_max, closures=closures
-    )
+    exponent = noetherian_exponent(closures, l_max=4, n_max=min(args.nmax, 6))
+    rees = rees_cofinality_constant(closures, m_max=args.nmax)
+    report = closure_powers_report(closures, args.nmax, window=args.window, order_max=args.order_max)
     body = {
         "polyhedron": poly.serialize(),
         # each filtration of the closure sweep has closure(I^n) as its base
@@ -300,10 +298,10 @@ def cmd_closure(args, ctx, I):
 def cmd_epsilon(args, ctx, I):
     # one term system: the bound check reads the powers and lengths of the estimate
     terms = TermSystem(I)
-    estimate = epsilon_estimate(I, args.nmax, terms=terms)
+    estimate = epsilon_estimate(terms, args.nmax)
     check_to = min(args.nmax, 12)
-    report = powers_report(I, check_to, "theorem", order_max=args.order_max, terms=terms)
-    bound = filtration_bound_check(I, check_to, report, terms=terms)
+    report = powers_report(terms, check_to, "theorem", order_max=args.order_max)
+    bound = filtration_bound_check(terms, check_to, report)
     body = estimate.to_document()
     body["bound_check"] = [
         {"n": row.n, "length": row.length, "maximal_multiplicity": row.maximal_multiplicity, "ok": row.ok}

@@ -43,7 +43,7 @@ from typing import Optional
 
 from .errors import DimensionLimitError
 from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
-from .superficial import TermSystem, cofinality_table, terms_for
+from .superficial import TermSystem, cofinality_table, terms_of
 
 _MAX_HULL_VARS = 6
 
@@ -178,18 +178,21 @@ def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
     )
 
 
-def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
+def integral_closure_power(source: "MonomialIdeal | ClosureChain", n: int) -> MonomialIdeal:
     """Integral closure of I^n: minimal lattice points of the n-fold dilation.
 
-    Below n = max(d, 2) the lattice points are scanned: minimal members have
-    each coordinate at most n times the largest exponent of that variable
-    among the generators, so the scan over that box with divisibility pruning
-    is exhaustive.  Higher powers are read from a :class:`ClosureChain`.
+    ``source`` is I or its :class:`ClosureChain`, which answers from its
+    terms.  For I, below n = max(d, 2) the lattice points are scanned:
+    minimal members have each coordinate at most n times the largest
+    exponent of that variable among the generators, so the scan over that
+    box with divisibility pruning is exhaustive.  Higher powers are read
+    from a new chain.
     """
     if n < 1:
         raise ValueError("the power must be at least 1")
-    if n >= _scan_below(I):
-        return ClosureChain(I).term(n)
+    if not isinstance(source, MonomialIdeal) or n >= _scan_below(source):
+        return terms_of(source, ClosureChain).term(n)
+    I = source
     poly = newton_polyhedron(I)
     box = tuple(v * n for v in I.box())
     kept = []
@@ -236,14 +239,14 @@ class NoetherianExponentResult:
 
 
 def noetherian_exponent(
-    I: MonomialIdeal, l_max: int, n_max: int, *, closures: "ClosureChain | None" = None
+    source: "MonomialIdeal | ClosureChain", l_max: int, n_max: int
 ) -> NoetherianExponentResult:
     """Least l with closure(I^l)^n = closure(I^(l*n)) for all n up to n_max.
 
     When no l up to l_max verifies, the result records where each candidate
-    first failed.  The closures are read from ``closures`` when given.
+    first failed.  ``source`` is I or its :class:`ClosureChain`.
     """
-    closures = terms_for(I, closures, ClosureChain)
+    closures = terms_of(source, ClosureChain)
     failures = []
     for l in range(1, l_max + 1):
         closed = TermSystem(closures.term(l))
@@ -258,26 +261,20 @@ def noetherian_exponent(
     return NoetherianExponentResult(None, l_max, n_max, tuple(failures))
 
 
-def rees_cofinality_constant(
-    I: MonomialIdeal, m_max: int, *, closures: "ClosureChain | None" = None
-) -> int:
+def rees_cofinality_constant(source: "MonomialIdeal | ClosureChain", m_max: int) -> int:
     """Least k with closure(I^m) contained in I^(m-k) for all k < m <= m_max.
 
-    The closures are read from ``closures`` when given.
+    ``source`` is I or its :class:`ClosureChain`.
     """
-    if I.is_zero() or I.is_unit():
-        raise ValueError("the ideal must be proper and nonzero")
-    table = cofinality_table(I, m_max, terms_for(I, closures, ClosureChain))
+    table = cofinality_table(terms_of(source, ClosureChain), m_max)
     return max([0] + [m - j for m, j in enumerate(table, 1)])
 
 
-def closure_powers_report(
-    I: MonomialIdeal, n_max: int, *, closures: "ClosureChain | None" = None, **kwargs
-):
+def closure_powers_report(source: "MonomialIdeal | ClosureChain", n_max: int, **kwargs):
     """Run the powers analyzers against the closure filtration n -> closure(I^n).
 
-    The closures are read from ``closures`` when given.
+    ``source`` is I or its :class:`ClosureChain`.
     """
     from .powers import powers_report
 
-    return powers_report(I, n_max, terms=terms_for(I, closures, ClosureChain), **kwargs)
+    return powers_report(terms_of(source, ClosureChain), n_max, **kwargs)

@@ -8,8 +8,9 @@ support at once.  The irreducible components come from the same grid: by
 Alexander duality they are its points w with (J : w) prime that sit at the
 top of every axis off the prime's support.  Both scans decide each cell
 from the generator bitmasks of :func:`~monofilt.ring.corner_masks`, built
-once per scan; the witness scan leaves out the cells inside the ideal.  The
-greedy filtration seeds its witness frontier from the same walk.
+once per scan, and both walk the grid by :func:`_prime_cells`, which leaves
+out the cells inside the ideal.  The greedy filtration seeds its witness
+frontier from the same walk.
 """
 
 from __future__ import annotations
@@ -115,11 +116,9 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple:
     if J.is_zero() or J.is_unit():
         raise DegenerateIdealError("irreducible decomposition needs a proper nonzero ideal")
     axes = corner_axes(J.generators, J.ctx.num_vars)
-    masks = corner_masks(J.generators, axes)
     components = []
-    for w in product(*axes):
-        supp = colon_prime_support(masks, w)
-        if supp is not None and all(w[i] == axes[i][-1] for i in range(len(w)) if i not in supp):
+    for supp, w in _prime_cells(axes, corner_masks(J.generators, axes)):
+        if all(w[i] == axes[i][-1] for i in range(len(w)) if i not in supp):
             components.append(IrreducibleComponent(tuple((i, w[i] + 1) for i in supp)))
     return tuple(sorted(components))
 

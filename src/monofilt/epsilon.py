@@ -14,7 +14,7 @@ from itertools import product as _cartesian  # noqa: F401  bench/tracer.py count
 
 from .decomposition import MonomialPrime
 from .ring import MonomialIdeal, ideal
-from .superficial import TermSystem, terms_for
+from .superficial import TermSystem, terms_of
 
 
 def h0_length(J: MonomialIdeal) -> int:
@@ -63,31 +63,30 @@ class EpsilonEstimate:
         }
 
 
-def _powers_of(I: MonomialIdeal, terms: "TermSystem | None") -> TermSystem:
+def _powers_of(source: "MonomialIdeal | TermSystem") -> TermSystem:
     # Torsion lengths are taken of R/I^n, so only the ordinary powers will do.
-    ts = terms_for(I, terms)
+    ts = terms_of(source)
     if type(ts) is not TermSystem:
         raise ValueError(f"torsion lengths need the powers of I, not a {type(ts).__name__}")
     return ts
 
 
-def epsilon_estimate(
-    I: MonomialIdeal, n_max: int, *, terms: "TermSystem | None" = None
-) -> EpsilonEstimate:
+def epsilon_estimate(source: "MonomialIdeal | TermSystem", n_max: int) -> EpsilonEstimate:
     """Torsion lengths of R/I^n for n up to n_max and the limsup proxy.
 
     The normalization exponent is the ring dimension, the largest the
     lengths can grow like; the estimate is the maximum of the normalized
-    values over the trailing quarter of the range.  ``terms``, a term
-    system of the powers of I, keeps the lengths for a later
+    values over the trailing quarter of the range.  ``source`` is I or a
+    term system of its powers, which keeps the lengths for a later
     :func:`filtration_bound_check` given the same system.
     """
+    ts = _powers_of(source)
+    I = ts.I
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     d = I.ctx.num_vars
-    ts = _powers_of(I, terms)
     lengths = [(n, ts.memo(h0_length, n)) for n in range(1, n_max + 1)]
     factor = math.factorial(d)
     normalized = [(n, factor * l / n**d) for n, l in lengths]
@@ -112,23 +111,22 @@ class BoundCheckRow:
     ok: bool
 
 
-def filtration_bound_check(
-    I: MonomialIdeal, n_max: int, report, *, terms: "TermSystem | None" = None
-) -> tuple:
+def filtration_bound_check(source: "MonomialIdeal | TermSystem", n_max: int, report) -> tuple:
     """Verify length(sat/I^n) <= multiplicity of the maximal ideal, per level.
 
     For a monomial prime P the torsion of R/P has length 1 when P is the
     maximal ideal and 0 otherwise, so the filtration's semi-additivity bound
     collapses to the maximal-ideal multiplicity.  ``report`` must be a powers
     report filtering R/I^n for n up to n_max; a closure sweep has the same
-    ideal but filters other modules.  ``terms``, a term system of the powers
-    of I, supplies the powers and any lengths it already holds.
+    ideal but filters other modules.  ``source`` is I or a term system of
+    its powers, which supplies any lengths it already holds.
     """
+    ts = _powers_of(source)
+    I = ts.I
     if report.ideal != I:
         raise ValueError("the report covers a different ideal")
     if report.n_max < n_max:
         raise ValueError("the report does not cover the requested range")
-    ts = _powers_of(I, terms)
     maximal = MonomialPrime(tuple(range(I.ctx.num_vars)))
     rows = []
     for n in range(1, n_max + 1):

@@ -52,7 +52,7 @@ from .superficial import (
     TermSystem,
     _colon_identity_holds,
     search_certificate,
-    terms_for,
+    terms_of,
 )
 
 # Trailing window of the stabilization detectors by default.
@@ -60,20 +60,23 @@ WINDOW = 4
 
 
 class FiltrationEngine:
-    """Shared state for one sweep: its term system, certificates, and memoized builds."""
+    """Shared state for one sweep: its term system, certificates, and memoized builds.
+
+    ``source`` is the filtration ideal I, whose terms are its powers, or a
+    term system of I that the engine reads and extends.
+    """
 
     def __init__(
         self,
-        I: MonomialIdeal,
+        source: "MonomialIdeal | TermSystem",
         *,
-        terms: "TermSystem | None" = None,
         order_max: int = ORDER_MAX,
         verify_to: int = 24,
     ):
-        if I.is_zero() or I.is_unit():
+        self.ts = terms_of(source)
+        if self.ts.I.is_zero() or self.ts.I.is_unit():
             raise ValueError("the filtration ideal must be proper and nonzero")
-        self.ts = terms_for(I, terms)
-        self.ctx = I.ctx
+        self.ctx = self.ts.ctx
         self.order_max = order_max
         self.verify_to = verify_to
         self._certs = {}
@@ -302,18 +305,17 @@ def detect_stabilization(prime_sets, window: int, max_period: int) -> dict:
 
 
 def powers_report(
-    I: MonomialIdeal,
+    source: "MonomialIdeal | TermSystem",
     n_max: int,
     mode: str = "theorem",
     *,
     window: int = WINDOW,
     order_max: int = ORDER_MAX,
-    terms: "TermSystem | None" = None,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
 
-    Level n is the term T(n) of ``terms``, a term system of I shared by the
-    sweeps given it, or I^n when it is None.
+    ``source`` is the ideal I, whose level n is I^n, or a term system of I,
+    whose level n is its term T(n); sweeps given one system share its terms.
     Raises :class:`CertificateError` if any emitted filtration fails
     re-validation, which pipelines surface as exit code 2.
     """
@@ -325,14 +327,15 @@ def powers_report(
         raise ValueError(f"window must be at least 1, got {window}")
     if order_max < 1:
         raise ValueError(f"order_max must be at least 1, got {order_max}")
+    ts = terms_of(source)
+    I = ts.I
     if I.is_zero() or I.is_unit():
         raise ValueError("the ideal must be proper and nonzero")
     engine = None
     cert = None
     if mode == "theorem":
-        engine = FiltrationEngine(I, terms=terms, order_max=order_max, verify_to=2 * n_max)
+        engine = FiltrationEngine(ts, order_max=order_max, verify_to=2 * n_max)
         cert = engine.root_certificate()
-    ts = engine.ts if engine is not None else terms_for(I, terms)
 
     records = []
     filtrations = {}

@@ -405,20 +405,6 @@ def corner_masks(gens, axes) -> tuple:
     return (1 << len(gens)) - 1, tuple(above), tuple(exact)
 
 
-def lies_outside(masks, w: Monomial) -> bool:
-    """True when the grid point w lies outside the ideal of the mask table.
-
-    w is outside exactly when every generator exceeds it on some axis, that
-    is when the OR of ``above[i][w_i]`` is full.  For the zero ideal full is
-    0 and every point is outside; for the unit ideal none is.
-    """
-    full, above, _ = masks
-    exceeded = 0
-    for col, a in zip(above, w):
-        exceeded |= col[a]
-    return exceeded == full
-
-
 # -- parsing ----------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")

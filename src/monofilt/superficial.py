@@ -138,15 +138,13 @@ class TermSystem:
         return self._annihilator_colons[key]
 
 
-def terms_for(I: MonomialIdeal, terms: "TermSystem | None", kind: type = TermSystem) -> TermSystem:
-    """``terms`` once it is checked to be a ``kind`` of I, or a new ``kind(I)`` for None."""
-    if terms is None:
-        return kind(I)
-    if not isinstance(terms, kind):
-        raise ValueError(f"expected a {kind.__name__}, got a {type(terms).__name__}")
-    if terms.I != I:
-        raise ValueError(f"the {kind.__name__} belongs to another ideal")
-    return terms
+def terms_of(source: "MonomialIdeal | TermSystem", kind: type = TermSystem) -> TermSystem:
+    """A new ``kind`` of the ideal ``source``, or ``source`` once it is checked to be a ``kind``."""
+    if isinstance(source, MonomialIdeal):
+        return kind(source)
+    if not isinstance(source, kind):
+        raise ValueError(f"expected a {kind.__name__}, got a {type(source).__name__}")
+    return source
 
 
 def _defining_condition_holds(
@@ -231,7 +229,6 @@ def find_superficial(
     module: CyclicFilteredModule,
     order_max: int = ORDER_MAX,
     n_max: int = 24,
-    c_max: int = C_MAX,
 ) -> Optional[SuperficialCertificate]:
     """Search for a monomial superficial element for the module.
 
@@ -247,7 +244,7 @@ def find_superficial(
         raise ValueError("the filtration ideal must be proper and nonzero")
     if J.contains_ideal(I):
         raise ValueError("the filtration ideal acts as zero on this module")
-    cert = search_certificate(TermSystem(I), J, order_max, c_max, n_max)
+    cert = search_certificate(TermSystem(I), J, order_max, C_MAX, n_max)
     return cert if isinstance(cert, SuperficialCertificate) else None
 
 
@@ -288,25 +285,17 @@ def verify_certificate(module: CyclicFilteredModule, cert: SuperficialCertificat
     return colon_threshold_for(ts, J, x, m, cert.verified_to) == cert.colon_threshold
 
 
-def cofinality_table(
-    I: MonomialIdeal,
-    n_max: int,
-    terms: "TermSystem | None" = None,
-    J: "MonomialIdeal | None" = None,
-) -> list:
-    """For each n, the largest k with T(n) + J contained in I^k + J.
+def cofinality_table(source: "MonomialIdeal | TermSystem", n_max: int) -> list:
+    """For each n, the largest k with T(n) contained in I^k.
 
-    T is ``terms``, a term system of I, or ordinary powers for None.  The table
-    certifies cofinality of T with ordinary powers over the verified range.
+    ``source`` is the ideal I, whose terms are its powers, or a term system
+    of I.  The table certifies cofinality of T with ordinary powers over the
+    verified range.
     """
-    ctx = I.ctx
+    ts = terms_of(source)
+    I = ts.I
     if I.is_zero() or I.is_unit():
         raise ValueError("the filtration ideal must be proper and nonzero")
-    if J is None:
-        J = MonomialIdeal(ctx, ())
-    if J.contains_ideal(I):
-        raise ValueError("the filtration ideal acts as zero modulo the annihilator")
-    ts = terms_for(I, terms)
     powers = TermSystem(I)
     table = []
     previous_term = None
@@ -316,10 +305,7 @@ def cofinality_table(
         if previous_term is not None and not previous_term.contains_ideal(t):
             raise ValueError("the term ideals are not descending")
         previous_term = t
-        if J.contains_ideal(t):
-            raise ValueError(f"term ideal at level {n} vanishes modulo the annihilator")
-        target = t + J
-        while powers.term_plus(J, k + 1).contains_ideal(target):
+        while powers.term(k + 1).contains_ideal(t):
             k += 1
         table.append(k)
     return table

@@ -8,6 +8,8 @@ from monofilt import (
     DimensionLimitError,
     closure_powers_report,
     context,
+    epsilon_estimate,
+    filtration_bound_check,
     ideal,
     integral_closure_power,
     newton_polyhedron,
@@ -150,7 +152,9 @@ def test_reduction_cannot_start_one_step_earlier(text, n):
     assert closures.term(n + 1) != I * closures.term(n)
 
 
-def test_closure_command_scans_one_box(monkeypatch):
+@pytest.fixture
+def scanned_boxes(monkeypatch):
+    """The bounds of every box the closure module scans, in call order."""
     boxes = []
     scan = closure.box_monomials
 
@@ -159,43 +163,74 @@ def test_closure_command_scans_one_box(monkeypatch):
         return scan(bounds)
 
     monkeypatch.setattr(closure, "box_monomials", counted)
+    return boxes
+
+
+def test_closure_command_scans_one_box(scanned_boxes):
     assert cli.main(["closure", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "7"]) == 0
-    assert boxes == [(3, 3)]
+    assert scanned_boxes == [(3, 3)]
 
 
-def test_closure_chain_belongs_to_its_ideal(kxy):
+def test_closure_power_reads_a_passed_chain(kxy, scanned_boxes):
     I = parse_ideal("x^3, y^3", kxy)
-    closures = ClosureChain(I)
-    other = parse_ideal("x^2, y^3", kxy)
+    chain = ClosureChain(I)
+    from_chain = [integral_closure_power(chain, n) for n in range(1, 7)]
+    assert scanned_boxes == [(3, 3)]
+    # given the ideal, every call scans the head again
+    assert [integral_closure_power(I, n) for n in range(1, 7)] == from_chain
+    assert scanned_boxes == [(3, 3)] * 7
+
+
+def test_entry_points_refuse_the_wrong_kind_of_term_system(kxy):
+    I = parse_ideal("x^3, y^3", kxy)
+    # ordinary powers would silently stand in for the closures
     closure_entries = (
-        lambda J, chain: noetherian_exponent(J, 2, 2, closures=chain),
-        lambda J, chain: rees_cofinality_constant(J, 3, closures=chain),
-        lambda J, chain: closure_powers_report(J, 3, closures=chain),
+        lambda source: noetherian_exponent(source, 2, 2),
+        lambda source: rees_cofinality_constant(source, 3),
+        lambda source: closure_powers_report(source, 3),
+        lambda source: integral_closure_power(source, 1),
     )
     for entry in closure_entries:
-        with pytest.raises(ValueError, match="another ideal"):
-            entry(other, closures)
-        # ordinary powers would silently stand in for the closures
         with pytest.raises(ValueError, match="expected a ClosureChain"):
-            entry(I, TermSystem(I))
+            entry(TermSystem(I))
     term_entries = (
-        lambda J, terms: powers_report(J, 3, terms=terms),
-        lambda J, terms: powers_report(J, 3, "naive", terms=terms),
-        lambda J, terms: FiltrationEngine(J, terms=terms),
-        lambda J, terms: cofinality_table(J, 3, terms=terms),
+        lambda source: powers_report(source, 3),
+        lambda source: powers_report(source, 3, "naive"),
+        lambda source: FiltrationEngine(source),
+        lambda source: cofinality_table(source, 3),
     )
     for entry in term_entries:
-        for terms in (closures, TermSystem(I)):
-            with pytest.raises(ValueError, match="another ideal"):
-                entry(other, terms)
         with pytest.raises(ValueError, match="expected a TermSystem"):
-            entry(I, closures.term)
+            entry(ClosureChain(I).term)
+
+
+# Each entry point: the term system it reads, and a call returning comparable results.
+_BOTH_FORMS = {
+    "FiltrationEngine": (TermSystem, lambda s: [FiltrationEngine(s).filtration(n) for n in (1, 2, 3)]),
+    "powers_report naive": (TermSystem, lambda s: powers_report(s, 4, "naive").to_document()),
+    "powers_report theorem": (TermSystem, lambda s: powers_report(s, 4, "theorem").to_document()),
+    "cofinality_table": (TermSystem, lambda s: cofinality_table(s, 6)),
+    "epsilon_estimate": (TermSystem, lambda s: epsilon_estimate(s, 6)),
+    "filtration_bound_check": (TermSystem, lambda s: filtration_bound_check(s, 4, powers_report(s, 4))),
+    "noetherian_exponent": (ClosureChain, lambda s: noetherian_exponent(s, 2, 3)),
+    "rees_cofinality_constant": (ClosureChain, lambda s: rees_cofinality_constant(s, 6)),
+    "closure_powers_report": (ClosureChain, lambda s: closure_powers_report(s, 4).to_document()),
+    "integral_closure_power": (ClosureChain, lambda s: [integral_closure_power(s, n) for n in range(1, 5)]),
+}
+
+
+@pytest.mark.parametrize("text", ["x^2, x*y", "x^3, y^3"])
+@pytest.mark.parametrize("entry", sorted(_BOTH_FORMS))
+def test_ideal_and_its_term_system_give_equal_results(kxy, entry, text):
+    kind, run = _BOTH_FORMS[entry]
+    I = parse_ideal(text, kxy)
+    assert run(I) == run(kind(I))
 
 
 def test_closure_report_keeps_its_colons_on_the_chain(kxy):
     I = parse_ideal("x^3, y^3", kxy)
     chain = ClosureChain(I)
-    report = closure_powers_report(I, 4, closures=chain)
+    report = closure_powers_report(chain, 4)
     assert report.engine.ts is chain
     assert report.filtrations[2].base == chain.term(2)
 

@@ -24,7 +24,7 @@ from monofilt import (
 )
 from monofilt import decomposition
 from monofilt.decomposition import _witness_for, colon_prime_support
-from monofilt.ring import corner_axes, corner_masks, lies_outside
+from monofilt.ring import corner_axes, corner_masks
 
 import oracles
 
@@ -190,7 +190,6 @@ def assert_masks_match_residues(J):
     masks = corner_masks(gens, axes)
     for w in product(*axes):
         assert colon_prime_support(masks, w) == oracles.reference_colon_prime_support(gens, w), w
-        assert lies_outside(masks, w) == (not oracles.member(J, w)), w
 
 
 def grid_supports(J):

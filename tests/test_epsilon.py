@@ -93,14 +93,12 @@ def test_bound_check_wrong_report(kxy):
 def test_shared_term_system_must_hold_the_powers(kxy):
     I = parse_ideal("x^3, y^3", kxy)
     with pytest.raises(ValueError, match="powers of I, not a ClosureChain"):
-        epsilon_estimate(I, 4, terms=ClosureChain(I))
-    with pytest.raises(ValueError, match="another ideal"):
-        epsilon_estimate(I, 4, terms=TermSystem(parse_ideal("x, y", kxy)))
+        epsilon_estimate(ClosureChain(I), 4)
     with pytest.raises(ValueError, match="powers of I, not a ClosureChain"):
-        filtration_bound_check(I, 4, powers_report(I, 4), terms=ClosureChain(I))
+        filtration_bound_check(ClosureChain(I), 4, powers_report(I, 4))
     terms = TermSystem(I)
-    estimate = epsilon_estimate(I, 6, terms=terms)
-    rows = filtration_bound_check(I, 6, powers_report(I, 6, terms=terms), terms=terms)
+    estimate = epsilon_estimate(terms, 6)
+    rows = filtration_bound_check(terms, 6, powers_report(terms, 6))
     assert [(row.n, row.length) for row in rows] == list(estimate.lengths)
 
 

@@ -1,10 +1,14 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used, and every helper it defines.
 
 Each ``src/monofilt/*.py`` is parsed with ``ast``.  A name counts as used
 when it is loaded anywhere in the module, including inside a string
 annotation.  An import kept on purpose carries ``# noqa: F401`` and a reason
 on its line.  The package ``__init__.py`` imports to re-export, so it is
 left out, as are ``__future__`` imports.
+
+A module-level ``def`` or ``class`` counts as used when ``__init__.py``
+re-exports it or some module of the package loads its name, bare, as an
+attribute, or inside a string annotation.
 """
 
 import ast
@@ -85,3 +89,50 @@ def test_check_catches_unused_and_bare_noqa():
         "    return path\n"
     )
     assert unused_imports(source) == [("sep", 4), ("json", 6)]
+
+
+def _defined(tree):
+    """(name, line) for each module-level function and class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def dead_helpers(sources: dict) -> list:
+    """(file, name, line) for each top-level def or class nothing exports or loads.
+
+    ``sources`` maps the file names of one package, ``__init__.py`` among
+    them, to their text.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    kept = {name for name, _ in _imported(trees["__init__.py"])}
+    for tree in trees.values():
+        kept |= _used(tree)
+        kept.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return [
+        (file, name, line)
+        for file, tree in sorted(trees.items())
+        for name, line in _defined(tree)
+        if name not in kept
+    ]
+
+
+def test_no_dead_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE.glob("*.py")}
+    assert dead_helpers(sources) == []
+
+
+def test_check_catches_dead_helpers():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": (
+            "def exported(): return local()\n"
+            "def local(): pass\n"
+            "def dead(): pass\n"
+            "class Named: pass\n"
+            "class Unnamed: pass\n"
+            "def _annotated(x: \"Named\"): pass\n"
+        ),
+        "b.py": "from . import a\nhandler = a._annotated\n",
+    }
+    assert dead_helpers(sources) == [("a.py", "dead", 3), ("a.py", "Unnamed", 5)]

@@ -178,8 +178,10 @@ def test_splice_search_can_fail(kxy):
 def test_not_found_at_root(kxy):
     # (x^2*y, x*y^2) admits no monomial superficial element even on R itself:
     # every candidate colon picks up a point below the degree staircase.
-    M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2*y, x*y^2", kxy))
-    assert find_superficial(M, order_max=4, n_max=20, c_max=8) is None
+    I = parse_ideal("x^2*y, x*y^2", kxy)
+    assert find_superficial(CyclicFilteredModule(zero_ideal(kxy), I), order_max=4, n_max=20) is None
+    # nor with a truncation level up to 8, above the search's own C_MAX
+    assert search_certificate(TermSystem(I), zero_ideal(kxy), 4, 8, 20) is None
 
 
 _EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -216,17 +218,16 @@ def test_cofinality_plain_powers(kxy):
 
 def test_cofinality_closure_terms(kxy):
     I = parse_ideal("x^3, y^3", kxy)
-    table = cofinality_table(I, 12, terms=ClosureChain(I))
+    table = cofinality_table(ClosureChain(I), 12)
     assert all(k >= n - 1 for n, k in enumerate(table, start=1))
     assert table == sorted(table)
 
 
 def test_cofinality_rejects_zero_action(kxy):
-    I = parse_ideal("x", kxy)
-    with pytest.raises(ValueError):
-        cofinality_table(I, 5, J=parse_ideal("x", kxy))
     with pytest.raises(ValueError):
         cofinality_table(zero_ideal(kxy), 5)
+    with pytest.raises(ValueError):
+        cofinality_table(TermSystem(zero_ideal(kxy)), 5)
 
 
 def test_certificate_search_computes_each_colon_once(monkeypatch, kxy):
