@@ -43,7 +43,7 @@ from typing import Optional
 
 from .errors import DimensionLimitError
 from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
-from .superficial import TermSystem, cofinality_table, terms_of
+from .superficial import TermSystem, check_counts, cofinality_table, terms_of
 
 _MAX_HULL_VARS = 6
 
@@ -188,8 +188,7 @@ def integral_closure_power(source: "MonomialIdeal | ClosureChain", n: int) -> Mo
     box with divisibility pruning is exhaustive.  Higher powers are read
     from a new chain.
     """
-    if n < 1:
-        raise ValueError("the power must be at least 1")
+    check_counts(power=n)
     if not isinstance(source, MonomialIdeal) or n >= _scan_below(source):
         return terms_of(source, ClosureChain).term(n)
     I = source
@@ -246,6 +245,7 @@ def noetherian_exponent(
     When no l up to l_max verifies, the result records where each candidate
     first failed.  ``source`` is I or its :class:`ClosureChain`.
     """
+    check_counts(l_max=l_max, n_max=n_max)
     closures = terms_of(source, ClosureChain)
     failures = []
     for l in range(1, l_max + 1):
@@ -266,6 +266,7 @@ def rees_cofinality_constant(source: "MonomialIdeal | ClosureChain", m_max: int)
 
     ``source`` is I or its :class:`ClosureChain`.
     """
+    check_counts(m_max=m_max)
     table = cofinality_table(terms_of(source, ClosureChain), m_max)
     return max([0] + [m - j for m, j in enumerate(table, 1)])
 

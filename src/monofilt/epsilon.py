@@ -14,7 +14,7 @@ from itertools import product as _cartesian  # noqa: F401  bench/tracer.py count
 
 from .decomposition import MonomialPrime
 from .ring import MonomialIdeal, ideal
-from .superficial import TermSystem, terms_of
+from .superficial import TermSystem, check_counts, terms_of
 
 
 def h0_length(J: MonomialIdeal) -> int:
@@ -82,10 +82,7 @@ def epsilon_estimate(source: "MonomialIdeal | TermSystem", n_max: int) -> Epsilo
     """
     ts = _powers_of(source)
     I = ts.I
-    if I.is_zero() or I.is_unit():
-        raise ValueError("the ideal must be proper and nonzero")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    check_counts(n_max=n_max)
     d = I.ctx.num_vars
     lengths = [(n, ts.memo(h0_length, n)) for n in range(1, n_max + 1)]
     factor = math.factorial(d)
@@ -123,6 +120,7 @@ def filtration_bound_check(source: "MonomialIdeal | TermSystem", n_max: int, rep
     """
     ts = _powers_of(source)
     I = ts.I
+    check_counts(n_max=n_max)
     if report.ideal != I:
         raise ValueError("the report covers a different ideal")
     if report.n_max < n_max:

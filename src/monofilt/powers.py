@@ -51,6 +51,7 @@ from .superficial import (
     SuperficialCertificate,
     TermSystem,
     _colon_identity_holds,
+    check_counts,
     search_certificate,
     terms_of,
 )
@@ -73,15 +74,14 @@ class FiltrationEngine:
         order_max: int = ORDER_MAX,
         verify_to: int = 24,
     ):
+        check_counts(order_max=order_max, verify_to=verify_to)
         self.ts = terms_of(source)
-        if self.ts.I.is_zero() or self.ts.I.is_unit():
-            raise ValueError("the filtration ideal must be proper and nonzero")
         self.ctx = self.ts.ctx
         self.order_max = order_max
         self.verify_to = verify_to
         self._certs = {}
         self._memo = {}
-        self._stationary = {}
+        self._greedy = {}
         self.glue_nodes = {}
         self.fallback_nodes = {}
 
@@ -101,13 +101,18 @@ class FiltrationEngine:
         """Filtration of R/(T(n) + J) plus a flag for greedy fallbacks in the subtree."""
         if J is None:
             J = zero_ideal(self.ctx)
-        return self._build(J, max(n, 0))
+        if (J, n) not in self._memo:
+            # Levels below first: a left branch with J : x = J then finds its
+            # child memoized, so the recursion stays shallow at any n.
+            for level in range(n):
+                self._build(J, level)
+        return self._build(J, n)
 
-    def _stationary_filtration(self, J: MonomialIdeal) -> PrimeFiltration:
-        # One fixed filtration serves every level once T(n) sits inside J.
-        if J not in self._stationary:
-            self._stationary[J] = naive_prime_filtration(J)
-        return self._stationary[J]
+    def _greedy_filtration(self, base: MonomialIdeal) -> PrimeFiltration:
+        # Stationary leaves (base == J) and fallbacks share one filtration per base.
+        if base not in self._greedy:
+            self._greedy[base] = naive_prime_filtration(base)
+        return self._greedy[base]
 
     def _build(self, J: MonomialIdeal, n: int):
         key = (J, n)
@@ -117,7 +122,7 @@ class FiltrationEngine:
         if base.is_unit():
             result = (PrimeFiltration(base, ()), False)
         elif base == J:
-            result = (self._stationary_filtration(J), False)
+            result = (self._greedy_filtration(base), False)
         else:
             result = self._build_glued(J, n, base)
         self._memo[key] = result
@@ -134,22 +139,22 @@ class FiltrationEngine:
         x, m = cert.element, cert.order
         if not _colon_identity_holds(self.ts, J, x, m, n):
             return self._fallback(J, n, base, "colon identity failed on recheck at this level")
-        left_ann = self.ts.annihilator_colon(J, x)
+        left_ann, left_n = self.ts.annihilator_colon(J, x), max(n - m, 0)
         right_ann = J.add_monomial(x)
-        left, left_fb = self._build(left_ann, n - m)
+        left, left_fb = self._build(left_ann, left_n)
         right, right_fb = self._build(right_ann, n)
         glued = glue(base, x, left, right)
         self.glue_nodes[(J, n)] = {
             "multiplier": x,
             "order": m,
-            "left": (left_ann, max(n - m, 0)),
+            "left": (left_ann, left_n),
             "right": (right_ann, n),
         }
         return (glued, left_fb or right_fb)
 
     def _fallback(self, J: MonomialIdeal, n: int, base: MonomialIdeal, reason: str):
         self.fallback_nodes[(J, n)] = reason
-        return (naive_prime_filtration(base), True)
+        return (self._greedy_filtration(base), True)
 
 
 def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
@@ -321,16 +326,9 @@ def powers_report(
     """
     if mode not in ("naive", "theorem"):
         raise ValueError(f"unknown mode '{mode}'")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if order_max < 1:
-        raise ValueError(f"order_max must be at least 1, got {order_max}")
+    check_counts(n_max=n_max, window=window, order_max=order_max)
     ts = terms_of(source)
     I = ts.I
-    if I.is_zero() or I.is_unit():
-        raise ValueError("the ideal must be proper and nonzero")
     engine = None
     cert = None
     if mode == "theorem":
@@ -428,12 +426,7 @@ def ass_stability(I: MonomialIdeal, n_max: int, window: int = WINDOW) -> AssStab
     The onset is the first level of the maximal trailing run of constant Ass
     sets, reported only when the run covers at least ``window`` levels.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if I.is_zero() or I.is_unit():
-        raise ValueError("the ideal must be proper and nonzero")
+    check_counts(n_max=n_max, window=window)
     ts = TermSystem(I)
     per_n = [(n, tuple(associated_primes(ts.term(n)))) for n in range(1, n_max + 1)]
     union = sorted({p for _, primes in per_n for p in primes})
@@ -457,8 +450,7 @@ def bad_filtration_fixture(ctx: RingContext, n: int, f: Monomial) -> PrimeFiltra
     with f = 1 the construction degenerates to the good filtration.  Negative
     control for the finite-factor-set behavior of the certified builder.
     """
-    if n < 1:
-        raise ValueError("the power must be at least 1")
+    check_counts(power=n)
     if f[0] != 0:
         raise ValueError("f must avoid the first variable")
     xn = [0] * ctx.num_vars

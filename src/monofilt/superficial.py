@@ -86,10 +86,13 @@ class TermSystem:
     The colons (T(n) + J) : x and J : x by a candidate x are what the
     certificate searches and the engine's recheck compare; each is computed
     once per system, and so is each per-level value read through
-    :meth:`memo`.
+    :meth:`memo`.  Every analysis builds or receives a term system, so this
+    is where a zero or unit ideal is refused.
     """
 
     def __init__(self, I: MonomialIdeal):
+        if I.is_unit() or I.is_zero():
+            raise ValueError("the filtration ideal must be proper and nonzero")
         self.I = I
         self.ctx = I.ctx
         self._terms = [unit_ideal(I.ctx)]
@@ -111,21 +114,21 @@ class TermSystem:
         Ass(R/T(n)) for both sweeps of ``powers --mode both``, the torsion
         lengths for the estimate and the bound check of ``epsilon``.
         """
-        key = (fn, n if n > 0 else 0)
+        key = (fn, n)
         if key not in self._memo:
             self._memo[key] = fn(self.term(n))
         return self._memo[key]
 
     def term_plus(self, J: MonomialIdeal, n: int) -> MonomialIdeal:
         """T(n) + J, cached; the base ideal of the module level n."""
-        key = (J, n if n > 0 else 0)
+        key = (J, n)
         if key not in self._sums:
             self._sums[key] = self.term(n) + J
         return self._sums[key]
 
     def colon(self, J: MonomialIdeal, n: int, x: Monomial) -> MonomialIdeal:
         """(T(n) + J) : x, cached; a certificate search asks for it at every c."""
-        key = (J, n if n > 0 else 0, x)
+        key = (J, n, x)
         if key not in self._colons:
             self._colons[key] = self.term_plus(J, n).colon_monomial(x)
         return self._colons[key]
@@ -136,6 +139,13 @@ class TermSystem:
         if key not in self._annihilator_colons:
             self._annihilator_colons[key] = J.colon_monomial(x)
         return self._annihilator_colons[key]
+
+
+def check_counts(**counts: int) -> None:
+    """Raise ValueError naming the first of the keyword counts that is below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def terms_of(source: "MonomialIdeal | TermSystem", kind: type = TermSystem) -> TermSystem:
@@ -235,16 +245,12 @@ def find_superficial(
     Returns None when no monomial candidate up to the given order verifies;
     callers fall back to the greedy filtration in that case.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if order_max < 1:
-        raise ValueError(f"order_max must be at least 1, got {order_max}")
+    check_counts(n_max=n_max, order_max=order_max)
     J, I = module.annihilator, module.filtration_ideal
-    if I.is_unit() or I.is_zero():
-        raise ValueError("the filtration ideal must be proper and nonzero")
+    ts = TermSystem(I)
     if J.contains_ideal(I):
         raise ValueError("the filtration ideal acts as zero on this module")
-    cert = search_certificate(TermSystem(I), J, order_max, C_MAX, n_max)
+    cert = search_certificate(ts, J, order_max, C_MAX, n_max)
     return cert if isinstance(cert, SuperficialCertificate) else None
 
 
@@ -252,8 +258,7 @@ def colon_threshold(
     module: CyclicFilteredModule, x: Monomial, m: int, n_max: int
 ) -> Optional[int]:
     """Public wrapper over the threshold scan for ordinary powers."""
-    if m < 1:
-        raise ValueError(f"order must be at least 1, got {m}")
+    check_counts(order=m)
     ts = TermSystem(module.filtration_ideal)
     if not ts.term(m).contains(x):
         raise ValueError("candidate element does not lie in the required term ideal")
@@ -269,14 +274,15 @@ def verify_certificate(module: CyclicFilteredModule, cert: SuperficialCertificat
     An order below 1, an element that is not a monomial of the ring, and an
     element acting as zero on the module all fail, and so does c outside
     0..verified_to - 1: the defining condition at n = c holds for every x.
+    A zero or unit filtration ideal raises ValueError, as in find_superficial.
     """
+    ts = TermSystem(module.filtration_ideal)
     J = module.annihilator
     x, m = cert.element, cert.order
     try:
         x = _checked(x, module.ctx.num_vars)
     except (TypeError, ValueError):
         return False
-    ts = TermSystem(module.filtration_ideal)
     if m < 1 or not 0 <= cert.c < cert.verified_to or J.contains(x) or not ts.term(m).contains(x):
         return False
     for n in range(cert.c, cert.verified_to + 1):
@@ -293,10 +299,8 @@ def cofinality_table(source: "MonomialIdeal | TermSystem", n_max: int) -> list:
     verified range.
     """
     ts = terms_of(source)
-    I = ts.I
-    if I.is_zero() or I.is_unit():
-        raise ValueError("the filtration ideal must be proper and nonzero")
-    powers = TermSystem(I)
+    check_counts(n_max=n_max)
+    powers = TermSystem(ts.I)
     table = []
     previous_term = None
     k = 0

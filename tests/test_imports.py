@@ -9,6 +9,10 @@ left out, as are ``__future__`` imports.
 A module-level ``def`` or ``class`` counts as used when ``__init__.py``
 re-exports it or some module of the package loads its name, bare, as an
 attribute, or inside a string annotation.
+
+Each message of the analyses' check policy has one raiser: a zero or unit
+ideal is refused by ``TermSystem`` (and by the CLI, for the ideal it reads),
+and a count below 1 by ``check_counts``.
 """
 
 import ast
@@ -136,3 +140,74 @@ def test_check_catches_dead_helpers():
         "b.py": "from . import a\nhandler = a._annotated\n",
     }
     assert dead_helpers(sources) == [("a.py", "dead", 3), ("a.py", "Unnamed", 5)]
+
+
+# Each phrase of the check policy and the (file, function) pairs allowed to raise it.
+_POLICY = {
+    "must be proper and nonzero": (
+        ("cli.py", "_load_ideal"),
+        ("superficial.py", "TermSystem.__init__"),
+    ),
+    "must be at least 1": (("superficial.py", "check_counts"),),
+}
+
+
+def policy_raisers(sources: dict) -> list:
+    """(file, function, phrase) for each raise whose message holds a phrase of ``_POLICY``.
+
+    Only ``ValueError`` and ``MonofiltError`` raises count: the parser's
+    ``IdealSyntaxError`` messages describe the input text at a position,
+    not a request.  ``function`` is the qualified name of the enclosing def.
+    """
+    found = []
+
+    def visit(file, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(file, child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                func = child.exc.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("ValueError", "MonofiltError"):
+                    text = "".join(
+                        n.value
+                        for n in ast.walk(child.exc)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    )
+                    found.extend(
+                        (file, ".".join(scope), phrase) for phrase in _POLICY if phrase in text
+                    )
+            visit(file, child, scope)
+
+    for file, source in sources.items():
+        visit(file, ast.parse(source), ())
+    return sorted(found)
+
+
+def test_check_policy_has_one_raiser_per_message():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE.glob("*.py")}
+    expected = sorted((file, fn, phrase) for phrase, sites in _POLICY.items() for file, fn in sites)
+    assert policy_raisers(sources) == expected
+
+
+def test_check_catches_a_copied_policy_check():
+    sources = {
+        "a.py": (
+            "class TermSystem:\n"
+            "    def __init__(self, I):\n"
+            "        raise ValueError('the filtration ideal must be proper and nonzero')\n"
+            "def check_counts(**counts):\n"
+            "    raise ValueError(f'{name} must be at least 1, got {value}')\n"
+            "def sweep(n_max):\n"
+            "    if n_max < 1:\n"
+            "        raise ValueError(f'n_max must be at least 1, got {n_max}')\n"
+            "def parse(text):\n"
+            "    raise IdealSyntaxError('exponents must be at least 1', 0)\n"
+        ),
+    }
+    assert policy_raisers(sources) == [
+        ("a.py", "TermSystem.__init__", "must be proper and nonzero"),
+        ("a.py", "check_counts", "must be at least 1"),
+        ("a.py", "sweep", "must be at least 1"),
+    ]

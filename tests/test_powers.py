@@ -48,6 +48,20 @@ def test_theorem_level_zero_is_empty(kxy):
     assert theorem_filtration(M, 0).steps == ()
 
 
+@pytest.mark.parametrize(
+    "generator, ledger",
+    [("x", {(0,): 600}), ("x*y", {(0,): 600, (1,): 600})],
+    ids=["x", "xy"],
+)
+def test_theorem_deep_level_stays_off_the_recursion_limit(kxy, generator, ledger):
+    # Each level splices along the generator with J : x = J, so its left
+    # branch is the level below; built bottom-up it is already memoized.
+    M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal(generator, kxy))
+    F = theorem_filtration(M, 600)
+    assert validate(F)
+    assert {p.support: c for p, c in F.ledger().items()} == ledger
+
+
 def test_theorem_matches_naive_multiplicity(kxy):
     I = parse_ideal("x^2, x*y", kxy)
     M = CyclicFilteredModule(zero_ideal(kxy), I)

@@ -6,13 +6,19 @@ from hypothesis import example, given, settings, strategies as st
 from monofilt import (
     ClosureChain,
     CyclicFilteredModule,
+    FiltrationEngine,
     cofinality_table,
     colon_threshold,
     context,
+    filtration_bound_check,
     find_superficial,
     ideal,
+    noetherian_exponent,
     parse_ideal,
     parse_problem,
+    powers_report,
+    rees_cofinality_constant,
+    unit_ideal,
     verify_certificate,
     zero_ideal,
 )
@@ -209,6 +215,51 @@ def test_find_superficial_preconditions(kxy):
         find_superficial(
             CyclicFilteredModule(parse_ideal("x, y", kxy), parse_ideal("x, y", kxy))
         )
+
+
+# Each request below used to return an answer without checking its input:
+# an empty range, or a module whose filtration ideal is the unit ideal.
+def _unit_module(ctx):
+    return CyclicFilteredModule(zero_ideal(ctx), unit_ideal(ctx))
+
+
+_DEGENERATE = "the filtration ideal must be proper and nonzero"
+
+
+@pytest.mark.parametrize(
+    "request_, message",
+    [
+        (lambda I: noetherian_exponent(I, 4, 0), "n_max must be at least 1, got 0"),
+        (lambda I: rees_cofinality_constant(I, 0), "m_max must be at least 1, got 0"),
+        (lambda I: cofinality_table(I, 0), "n_max must be at least 1, got 0"),
+        (
+            lambda I: filtration_bound_check(I, 0, powers_report(I, 2)),
+            "n_max must be at least 1, got 0",
+        ),
+        (lambda I: FiltrationEngine(I, order_max=0), "order_max must be at least 1, got 0"),
+        (lambda I: FiltrationEngine(I, verify_to=0), "verify_to must be at least 1, got 0"),
+        (
+            lambda I: verify_certificate(
+                _unit_module(I.ctx), SuperficialCertificate((1, 0), 1, 0, 1, 24)
+            ),
+            _DEGENERATE,
+        ),
+        (lambda I: colon_threshold(_unit_module(I.ctx), (1, 0), 1, 10), _DEGENERATE),
+    ],
+    ids=[
+        "noetherian_exponent",
+        "rees_cofinality_constant",
+        "cofinality_table",
+        "filtration_bound_check",
+        "engine_order_max",
+        "engine_verify_to",
+        "verify_certificate",
+        "colon_threshold",
+    ],
+)
+def test_requests_that_used_to_pass_unchecked_are_refused(kxy, request_, message):
+    with pytest.raises(ValueError, match=message):
+        request_(parse_ideal("x^2, x*y", kxy))
 
 
 def test_cofinality_plain_powers(kxy):
