@@ -219,6 +219,7 @@ class ClosureChain(TermSystem):
     def __init__(self, I: MonomialIdeal):
         super().__init__(I)
         self._terms.extend(integral_closure_power(I, k) for k in range(1, _scan_below(I)))
+        self._head = len(self._terms)
 
 
 @dataclass(frozen=True)

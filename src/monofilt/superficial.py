@@ -14,6 +14,50 @@ candidates whose identity holds on a suffix of the verified range, returns
 the first of them that is also superficial, and otherwise returns the first
 of them as a splice certificate.  A splice certificate is a distinct kind and
 never stands in for a superficial one.
+
+The Rees recurrence bounds how far up each condition must be checked level by
+level.  Let I = (g_1, ..., g_s), let x be the monomial with exponent vector
+a, and let T(n) = I^(n - h) * T(h) for every n >= h, where h + 1 is the
+length of the term system's head (h = 0 for ordinary powers).  Put
+
+    D(x) = sum over j of max over i with g_ji > 0 of ceil(a_i / g_ji).
+
+Lemma.  T(k + 1) : x = I * (T(k) : x) for every k >= D(x) + h.
+
+Proof.  I * (T(k) : x) lies in T(k + 1) : x because I * T(k) = T(k + 1).
+Conversely let u be a monomial with u * x in T(k + 1) = I^(k + 1 - h) * T(h),
+so u * x is a multiple of g^b * t with |b| = k + 1 - h and t in T(h).  If
+g_j divides u for some j with b_j > 0, then u = g_j * (u / g_j) and
+(u / g_j) * x is a multiple of g^(b - e_j) * t, which lies in T(k): u lies in
+I * (T(k) : x).  Otherwise each j with b_j > 0 has an i with g_ji > u_i,
+while u_i + a_i >= b_j * g_ji; so b_j * g_ji < a_i + g_ji, b_j <=
+ceil(a_i / g_ji), and |b| <= D(x), against k + 1 - h > D(x).  (The
+argument is Brodmann's finiteness of the Rees algebra, Proc. AMS 74, 1979,
+made explicit for monomials.)
+
+Consequences, for x in T(m), N >= rees = max(D(x) + h, m), and J the
+annihilator.  Monomial colons distribute over sums, so (T(n) + J) : x =
+(J : x) + (T(n) : x), and the colon identity at n says T(n) : x lies in
+(J : x) + T(n - m); the other containment always holds.  If the identity
+holds at N, then T(N + 1) : x = I * (T(N) : x) lies in (J : x) + I * T(N - m),
+inside (J : x) + T(N + 1 - m): the identity holds at every n >= N.  So the
+threshold scan checks the level rees first and, when the identity holds
+there, scans down from it only.
+
+Monomial ideals form a distributive lattice, so the defining condition
+(c, n), ((T(n + m) + J) : x) meet (T(c) + J) in T(n) + J, splits into
+
+    A(n): (J : x) meet (T(c) + J) in T(n) + J, harder as n grows, and
+    B(n): (T(n + m) : x) meet (T(c) + J) in T(n) + J.
+
+The colon identity at n + m gives T(n + m) : x in (J : x) + T(n), and then
+B(n) follows from A(n).  Once the identity holds at every level from some
+stable <= verify_to on, (c, n) is A(n) for every n >= stable - m, and A at
+verify_to implies A at each level below.  So the search checks (c, n) level
+by level below stable - m and then A(verify_to) alone, with no colon above
+level stable.  Where D(x) + h exceeds verify_to the search checks every
+level, as before.  Neither shortcut enters a filtration: the engine rechecks
+the identity at each level it splices, and every level is validated.
 """
 
 from __future__ import annotations
@@ -43,6 +87,14 @@ class CyclicFilteredModule:
 
 @dataclass(frozen=True)
 class SuperficialCertificate:
+    """An element x of T(order) outside the annihilator J, superficial past c.
+
+    The colon identity holds for colon_threshold <= n <= verified_to and the
+    defining condition for c <= n <= verified_to.  The search checks each
+    level up to the Rees level of x and derives the levels above it (module
+    docstring); :func:`verify_certificate` checks every level.
+    """
+
     element: Monomial
     order: int
     c: int
@@ -64,8 +116,10 @@ class SpliceCertificate:
     """An element x of T(order) outside the annihilator J, verified for splicing.
 
     (T(n) + J) : x = (J : x) + T(n - order) holds for colon_threshold <= n <=
-    verified_to.  That is all splicing along x at level n needs; the defining
-    condition of a superficial element is not claimed.
+    verified_to: checked level by level up to the Rees level of x and implied
+    above it (module docstring), and checked at every level by
+    :func:`verify_certificate`.  That is all splicing along x at level n
+    needs; the defining condition of a superficial element is not claimed.
     """
 
     element: Monomial
@@ -96,6 +150,7 @@ class TermSystem:
         self.I = I
         self.ctx = I.ctx
         self._terms = [unit_ideal(I.ctx)]
+        self._head = 1  # T(n) = I * T(n - 1) from n = _head on
         self._sums = {}
         self._colons = {}
         self._annihilator_colons = {}
@@ -106,6 +161,12 @@ class TermSystem:
         for _ in range(len(terms), n + 1):
             terms.append(self.I * terms[-1])
         return terms[n if n > 0 else 0]
+
+    def rees_level(self, x: Monomial) -> int:
+        """D(x) + h: from k = D(x) + h on, T(k + 1) : x = I * (T(k) : x) (module docstring)."""
+        return self._head - 1 + sum(
+            max(-(-a // g) for a, g in zip(x, gen) if g) for gen in self.I.generators
+        )
 
     def memo(self, fn, n: int):
         """fn(T(n)), computed once per system for each function and level.
@@ -166,6 +227,28 @@ def _defining_condition_holds(
     return cut == ts.term_plus(J, n)
 
 
+def _annihilator_part_holds(
+    ts: TermSystem, J: MonomialIdeal, x: Monomial, c: int, n: int
+) -> bool:
+    # A(n): (J : x) intersected with (T(c) + J) lies in T(n) + J.
+    part = ts.annihilator_colon(J, x)
+    if c:
+        part = part.intersect(ts.term_plus(J, c))
+    return ts.term_plus(J, n).contains_ideal(part)
+
+
+def _superficial_to(
+    ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, c: int, verify_to: int, stable: int
+) -> bool:
+    # The defining condition for c <= n <= verify_to, given the colon
+    # identity at every level from stable on: past stable - m it is A(n).
+    if stable > verify_to:
+        return all(_defining_condition_holds(ts, J, x, m, c, n) for n in range(c, verify_to + 1))
+    return all(
+        _defining_condition_holds(ts, J, x, m, c, n) for n in range(c, max(c, stable - m))
+    ) and _annihilator_part_holds(ts, J, x, c, verify_to)
+
+
 def _colon_identity_holds(ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, n: int) -> bool:
     lhs = ts.colon(J, n, x)
     rhs = ts.annihilator_colon(J, x) + ts.term(n - m)
@@ -177,12 +260,19 @@ def colon_threshold_for(
 ) -> Optional[int]:
     """Least N with (T(n) + J) : x = (J : x) + T(n - m) for all N <= n <= n_max.
 
-    The scan runs down from n_max and stops at the first level that fails;
-    the result is None when the identity fails at n_max or n_max < 1.  x must
-    lie in T(m); callers pass a generator of T(m) or check first.
+    The scan runs down and stops at the first level that fails; the result
+    is None when the identity fails at n_max or n_max < 1.  It starts at the
+    level start = max(D(x) + h, m), or n_max if lower: holding there, the
+    identity holds at every level above (module docstring).  Failing there,
+    the scan runs down from n_max to start.  x must lie in T(m); callers
+    pass a generator of T(m) or check first.
     """
-    n = n_max
-    while n >= 1 and _colon_identity_holds(ts, J, x, m, n):
+    start = min(n_max, max(ts.rees_level(x), m))
+    if start >= 1 and _colon_identity_holds(ts, J, x, m, start):
+        n, stop = start - 1, 0
+    else:
+        n, stop = n_max, start
+    while n > stop and _colon_identity_holds(ts, J, x, m, n):
         n -= 1
     return n + 1 if n < n_max else None
 
@@ -210,9 +300,11 @@ def search_certificate(
     for every c <= n <= verify_to, for some c <= c_max, is returned as a
     superficial certificate.  The condition at n = c holds for every x, since
     x * (T(c) + J) lies in T(c + m) + J, so c stops below verify_to and every
-    certificate rests on a level n > c.  Monomial superficial elements need
-    not exist; then the first candidate with a threshold is returned as a
-    splice certificate, and None when there is none.
+    certificate rests on a level n > c.  Both conditions are checked level
+    by level up to the Rees level of x and derived above it (module
+    docstring).  Monomial superficial elements need not exist; then the
+    first candidate with a threshold is returned as a splice certificate,
+    and None when there is none.
 
     Candidates in J are skipped, so a splice along x always strictly enlarges
     the annihilator J + (x) of the right branch, and its left branch drops to
@@ -224,11 +316,9 @@ def search_certificate(
         threshold = colon_threshold_for(ts, J, x, m, verify_to)
         if threshold is None:
             continue
+        stable = max(threshold, ts.rees_level(x), m)
         for c in range(0, min(c_max, verify_to - 1) + 1):
-            if all(
-                _defining_condition_holds(ts, J, x, m, c, n)
-                for n in range(c, verify_to + 1)
-            ):
+            if _superficial_to(ts, J, x, m, c, verify_to, stable):
                 return SuperficialCertificate(x, m, c, threshold, verify_to)
         if splice is None:
             splice = SpliceCertificate(x, m, threshold, verify_to)
@@ -265,30 +355,40 @@ def colon_threshold(
     return colon_threshold_for(ts, module.annihilator, x, m, n_max)
 
 
-def verify_certificate(module: CyclicFilteredModule, cert: SuperficialCertificate) -> bool:
-    """Re-run both certificate conditions from scratch over the recorded range.
+def verify_certificate(
+    module: CyclicFilteredModule, cert: "SuperficialCertificate | SpliceCertificate"
+) -> bool:
+    """Re-run a certificate's conditions from scratch at every recorded level.
 
-    The colon threshold is recomputed, not rechecked level by level: it is
-    the least level from which the colon identity holds up to verified_to,
-    so equality with the recorded one covers the identity on that range.
-    An order below 1, an element that is not a monomial of the ring, and an
-    element acting as zero on the module all fail, and so does c outside
-    0..verified_to - 1: the defining condition at n = c holds for every x.
-    A zero or unit filtration ideal raises ValueError, as in find_superficial.
+    Both kinds must hold the colon identity at each level from colon_threshold
+    to verified_to, and fail it one level below a threshold above 1; a
+    superficial certificate must also hold the defining condition at each
+    level from c to verified_to.  No level is derived from the Rees
+    recurrence.  An order below 1, an element that is not a monomial of the
+    ring, and an element acting as zero on the module all fail, and so does
+    c outside 0..verified_to - 1: the defining condition at n = c holds for
+    every x.  A zero or unit filtration ideal raises ValueError, as in
+    find_superficial.
     """
     ts = TermSystem(module.filtration_ideal)
     J = module.annihilator
     x, m = cert.element, cert.order
+    threshold, top = cert.colon_threshold, cert.verified_to
     try:
         x = _checked(x, module.ctx.num_vars)
     except (TypeError, ValueError):
         return False
-    if m < 1 or not 0 <= cert.c < cert.verified_to or J.contains(x) or not ts.term(m).contains(x):
+    if m < 1 or not 1 <= threshold <= top or J.contains(x) or not ts.term(m).contains(x):
         return False
-    for n in range(cert.c, cert.verified_to + 1):
-        if not _defining_condition_holds(ts, J, x, m, cert.c, n):
-            return False
-    return colon_threshold_for(ts, J, x, m, cert.verified_to) == cert.colon_threshold
+    if threshold > 1 and _colon_identity_holds(ts, J, x, m, threshold - 1):
+        return False
+    if not all(_colon_identity_holds(ts, J, x, m, n) for n in range(threshold, top + 1)):
+        return False
+    if isinstance(cert, SpliceCertificate):
+        return True
+    return 0 <= cert.c < top and all(
+        _defining_condition_holds(ts, J, x, m, cert.c, n) for n in range(cert.c, top + 1)
+    )
 
 
 def cofinality_table(source: "MonomialIdeal | TermSystem", n_max: int) -> list:

@@ -558,3 +558,51 @@ def reference_certificate_search(I, J, order_max, c_max, verify_to):
         if threshold is not None:
             return SpliceCertificate(x, m, threshold, verify_to)
     return None
+
+
+# The certificate search on any term system with every level checked, the
+# form it had before the Rees recurrence let it derive the levels above the
+# Rees level; it reads only the terms, never the system's colon caches.
+def _colon_identity(ts, J, x, m, n) -> bool:
+    return (ts.term(n) + J).colon_monomial(x) == J.colon_monomial(x) + ts.term(n - m)
+
+
+def reference_threshold_scan(ts, J, x, m, n_max):
+    """Least N with (T(n) + J) : x = (J : x) + T(n - m) for N <= n <= n_max.
+
+    Scans down from n_max through every level; None when the identity fails
+    at n_max or n_max < 1.
+    """
+    n = n_max
+    while n >= 1 and _colon_identity(ts, J, x, m, n):
+        n -= 1
+    return n + 1 if n < n_max else None
+
+
+def reference_level_by_level_search(ts, J, order_max, c_max, verify_to):
+    """One scan for both certificate kinds, the defining condition checked at every level.
+
+    The first candidate (order, then grlex, outside J) with a threshold whose
+    condition ((T(n+m) + J) : x) meet (T(c) + J) = T(n) + J holds for every
+    c <= n <= verify_to, at the least such c <= min(c_max, verify_to - 1),
+    is superficial; else the first candidate with a threshold is a splice
+    certificate; else None.
+    """
+    splice = None
+    for m in range(1, order_max + 1):
+        for x in sorted(ts.term(m).generators, key=grlex):
+            if member(J, x):
+                continue
+            threshold = reference_threshold_scan(ts, J, x, m, verify_to)
+            if threshold is None:
+                continue
+            for c in range(0, min(c_max, verify_to - 1) + 1):
+                if all(
+                    (ts.term(n + m) + J).colon_monomial(x).intersect(ts.term(c) + J)
+                    == ts.term(n) + J
+                    for n in range(c, verify_to + 1)
+                ):
+                    return SuperficialCertificate(x, m, c, threshold, verify_to)
+            if splice is None:
+                splice = SpliceCertificate(x, m, threshold, verify_to)
+    return splice

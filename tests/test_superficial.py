@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -417,3 +418,120 @@ def test_colon_threshold_matches_the_upward_loop(drawn, order_max):
                 assert colon_threshold_for(ts, J, x, m, n_max) == (
                     oracles.reference_colon_threshold(powers, J, x, m, n_max)
                 ), (x, m, n_max)
+
+
+def test_engine_certificates_verify(suite_reports, kxy):
+    # Every certificate an engine holds, of either kind, passes the
+    # independent level-by-level check; (x^4, x*y, y^4) holds a splice one.
+    engines = [report.engine for report in suite_reports.values()]
+    engines.append(powers_report(parse_ideal("x^4, x*y, y^4", kxy), 6).engine)
+    kinds = Counter()
+    for engine in engines:
+        for J, cert in engine._certs.items():
+            if cert is not None:
+                assert verify_certificate(CyclicFilteredModule(J, engine.ts.I), cert), (J, cert)
+                kinds[type(cert)] += 1
+    assert kinds[SpliceCertificate] >= 1 and kinds[SuperficialCertificate] >= 1
+
+
+def test_verify_checks_splice_certificates(kxy):
+    I, J = parse_ideal("x^4, x*y, y^4", kxy), parse_ideal("x*y", kxy)
+    module = CyclicFilteredModule(J, I)
+    assert verify_certificate(module, SpliceCertificate((4, 0), 1, 1, 12))
+    # The identity holds at level 1, so threshold 2 is not the least one.
+    assert not verify_certificate(module, SpliceCertificate((4, 0), 1, 2, 12))
+    assert not verify_certificate(module, SpliceCertificate((4, 0), 1, 0, 12))
+    assert not verify_certificate(module, SpliceCertificate((4, 0), 1, 13, 12))
+    assert not verify_certificate(module, SpliceCertificate((1, 1), 1, 1, 12))  # in J
+    # (x^2*y, x*y^2) admits no splice certificate on R (test_splice_search_can_fail).
+    root = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2*y, x*y^2", kxy))
+    for x in ((2, 1), (1, 2)):
+        assert not verify_certificate(root, SpliceCertificate(x, 1, 1, 12))
+
+
+_TERM_KINDS = st.sampled_from([TermSystem, ClosureChain])
+
+
+@given(_IDEAL_PAIRS, _TERM_KINDS, st.integers(0, 3), st.data())
+@settings(max_examples=80)
+def test_rees_recurrence_holds_from_the_rees_level(drawn, kind, m, data):
+    # T(k + 1) : x = I * (T(k) : x) for k >= D(x) + h, with x a generator of
+    # T(m) or, for m = 0, any monomial.
+    I, _ = _pair(drawn)
+    ts = kind(I)
+    if m:
+        x = data.draw(st.sampled_from(ts.term(m).generators))
+    else:
+        x = data.draw(st.tuples(*[st.integers(0, 3)] * I.ctx.num_vars))
+    level = ts.rees_level(x)
+    for k in range(level, level + 4):
+        assert ts.term(k + 1).colon_monomial(x) == I * ts.term(k).colon_monomial(x), (x, k)
+
+
+def test_rees_level_is_tight(kxy):
+    # One level below D(x) the recurrence can fail, so D cannot shrink by one:
+    # for I = (x, y), D(x) = 1 and I^1 : x = R is not I * (I^0 : x) = I.
+    ts = TermSystem(parse_ideal("x, y", kxy))
+    assert ts.rees_level((1, 0)) == 1
+    assert ts.term(1).colon_monomial((1, 0)) != ts.I * ts.term(0).colon_monomial((1, 0))
+    # Closure chains are tight only rarely (2 variables only, in probes):
+    # for (x^3, y^3), h = 1 and D(x^3) = 1, and the recurrence fails at k = 1.
+    chain = ClosureChain(parse_ideal("x^3, y^3", kxy))
+    assert chain.rees_level((3, 0)) == 2
+    assert chain.term(2).colon_monomial((3, 0)) != chain.I * chain.term(1).colon_monomial((3, 0))
+    rng = random.Random(19)
+    tight = 0
+    for _ in range(40):
+        I = oracles.random_proper_ideal(rng, max_gens=3, max_exp=3)
+        ts = TermSystem(I)
+        x = rng.choice(ts.term(rng.randint(1, 2)).generators)
+        k = ts.rees_level(x) - 1
+        if k >= 0 and ts.term(k + 1).colon_monomial(x) != I * ts.term(k).colon_monomial(x):
+            tight += 1
+    assert tight >= 10, tight
+
+
+def test_search_matches_the_level_by_level_reference():
+    # Both term systems, a nonzero annihilator, verify_to 0..14: the search
+    # that derives the levels above the Rees level returns what checking
+    # every level returns, and so does each threshold scan.
+    rng = random.Random(1907)
+    cases = 0
+    while cases < 150:
+        I = oracles.random_proper_ideal(rng, max_gens=3, max_exp=3)
+        d = I.ctx.num_vars
+        J = ideal(I.ctx, [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(3)])
+        if J.is_zero() or J.contains_ideal(I):
+            continue
+        kind = (TermSystem, ClosureChain)[cases % 2]
+        verify_to, order_max = cases % 15, rng.randint(1, 3)
+        ts, reference = kind(I), kind(I)
+        assert search_certificate(ts, J, order_max, C_MAX, verify_to) == (
+            oracles.reference_level_by_level_search(reference, J, order_max, C_MAX, verify_to)
+        ), (I, J, kind, verify_to)
+        for m in range(1, order_max + 1):
+            for x in ts.term(m).generators:
+                assert colon_threshold_for(ts, J, x, m, verify_to) == (
+                    oracles.reference_threshold_scan(reference, J, x, m, verify_to)
+                ), (I, J, kind, x, m, verify_to)
+        cases += 1
+
+
+def test_levels_are_derived_only_above_the_colon_threshold(kxyz):
+    # The identity for y^2*z^3 fails at its Rees level 3 and holds from 4 on,
+    # so the defining condition is derived only from 4 - m on; deriving it
+    # from 3 - m would accept c = 1.
+    I, J = parse_ideal("x*z^2, y^2*z^3", kxyz), parse_ideal("x^4*z", kxyz)
+    ts = TermSystem(I)
+    assert ts.rees_level((0, 2, 3)) == 3
+    cert = search_certificate(ts, J, 2, C_MAX, 8)
+    assert cert == SuperficialCertificate((0, 2, 3), 1, 2, 4, 8)
+    assert cert == oracles.reference_level_by_level_search(TermSystem(I), J, 2, C_MAX, 8)
+
+
+def test_empty_range_gives_no_threshold_and_no_certificate(kxy):
+    I = parse_ideal("x, y", kxy)
+    for kind in (TermSystem, ClosureChain):
+        ts = kind(I)
+        assert colon_threshold_for(ts, zero_ideal(kxy), (1, 0), 1, n_max=0) is None
+        assert search_certificate(ts, zero_ideal(kxy), 3, C_MAX, verify_to=0) is None
