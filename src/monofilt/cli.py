@@ -33,7 +33,7 @@ from .closure import (
     rees_cofinality_constant,
 )
 from .epsilon import epsilon_estimate, filtration_bound_check
-from .errors import CertificateError, InfeasibleError, MonofiltError
+from .errors import CertificateError, MonofiltError
 from .filtration import cm_certificate
 from .powers import WINDOW, ass_stability, powers_report
 from .ring import parse_problem, zero_ideal
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     except CertificateError as err:
         print(f"monofilt: certificate failure: {err}", file=sys.stderr)
         return 2
-    except (MonofiltError, InfeasibleError, OSError, ValueError) as err:
+    except (MonofiltError, OSError, ValueError) as err:
         print(f"monofilt: error: {err}", file=sys.stderr)
         return 1
     except RecursionError:
@@ -395,6 +395,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print("monofilt: error: memory limit of this process exceeded", file=sys.stderr)
+        return 1
+    except OverflowError as err:
+        print(f"monofilt: error: a number is too large for this process: {err}", file=sys.stderr)
         return 1
 
 

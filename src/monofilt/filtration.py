@@ -19,7 +19,6 @@ from .decomposition import (
     MonomialPrime,
     _prime_cells,
     colon_prime_support,
-    dimension,
     minh,
     prime_avoidance_element,
 )
@@ -316,7 +315,7 @@ def cm_certificate(I: MonomialIdeal, filtrations: dict) -> CmCertificate:
     """
     ctx = I.ctx
     top = set(minh(I))
-    dim_quotient = dimension(I)
+    dim_quotient = ctx.num_vars - min(p.codim() for p in top)
     extras = set()
     for filtration in filtrations.values():
         extras.update(p for p in filtration.primes() if p not in top)

@@ -158,7 +158,10 @@ class FiltrationEngine:
 
 
 def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
-    """Certified recursive filtration of R/(I^n + J) for the given module."""
+    """Certified recursive filtration of R/(T(n) + J) for the given module.
+
+    T(n) is I^n, or the n-th term of the module's term system.
+    """
     filtration, _ = FiltrationEngine(module.filtration_ideal).filtration(n, module.annihilator)
     return filtration
 

@@ -75,10 +75,15 @@ ORDER_MAX = 3
 
 @dataclass(frozen=True)
 class CyclicFilteredModule:
-    """R/annihilator filtered by images of the powers of the filtration ideal."""
+    """R/annihilator filtered by the images of the terms T(n) of the filtration ideal.
+
+    ``filtration_ideal`` is I, whose terms are its powers, or a term system of
+    I (a :class:`TermSystem` or a :class:`~monofilt.closure.ClosureChain`);
+    every function here reads it through :func:`terms_of`.
+    """
 
     annihilator: MonomialIdeal
-    filtration_ideal: MonomialIdeal
+    filtration_ideal: "MonomialIdeal | TermSystem"
 
     @property
     def ctx(self) -> RingContext:
@@ -336,9 +341,9 @@ def find_superficial(
     callers fall back to the greedy filtration in that case.
     """
     check_counts(n_max=n_max, order_max=order_max)
-    J, I = module.annihilator, module.filtration_ideal
-    ts = TermSystem(I)
-    if J.contains_ideal(I):
+    J = module.annihilator
+    ts = terms_of(module.filtration_ideal)
+    if J.contains_ideal(ts.term(1)):
         raise ValueError("the filtration ideal acts as zero on this module")
     cert = search_certificate(ts, J, order_max, C_MAX, n_max)
     return cert if isinstance(cert, SuperficialCertificate) else None
@@ -347,9 +352,13 @@ def find_superficial(
 def colon_threshold(
     module: CyclicFilteredModule, x: Monomial, m: int, n_max: int
 ) -> Optional[int]:
-    """Public wrapper over the threshold scan for ordinary powers."""
+    """The threshold scan of :func:`colon_threshold_for` on the module's terms.
+
+    The terms are the powers of I or those of the module's term system; x
+    must lie in T(m).
+    """
     check_counts(order=m)
-    ts = TermSystem(module.filtration_ideal)
+    ts = terms_of(module.filtration_ideal)
     if not ts.term(m).contains(x):
         raise ValueError("candidate element does not lie in the required term ideal")
     return colon_threshold_for(ts, module.annihilator, x, m, n_max)
@@ -369,8 +378,13 @@ def verify_certificate(
     c outside 0..verified_to - 1: the defining condition at n = c holds for
     every x.  A zero or unit filtration ideal raises ValueError, as in
     find_superficial.
+
+    The check runs on a new term system of the same kind as the module's,
+    built from its ideal I, so it reads no term or colon that a search cached
+    and leaves the module's system unchanged.
     """
-    ts = TermSystem(module.filtration_ideal)
+    given = terms_of(module.filtration_ideal)
+    ts = type(given)(given.I)
     J = module.annihilator
     x, m = cert.element, cert.order
     threshold, top = cert.colon_threshold, cert.verified_to

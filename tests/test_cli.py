@@ -207,7 +207,11 @@ def test_window_and_order_max_below_one_rejected(tmp_path, capsys):
 def test_resource_errors_exit_one(tmp_path, monkeypatch, capsys):
     import monofilt.powers as powers_module
 
-    for error, words in ((RecursionError, "recursion limit"), (MemoryError, "memory limit")):
+    for error, words in (
+        (RecursionError, "recursion limit"),
+        (MemoryError, "memory limit"),
+        (OverflowError, "too large"),
+    ):
         def exhausted(*args, **kwargs):
             raise error()
 
@@ -216,6 +220,20 @@ def test_resource_errors_exit_one(tmp_path, monkeypatch, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert words in err
+        assert "Traceback" not in err
+
+
+def test_closure_of_an_exponent_at_the_parser_limit_exits_one(tmp_path, capsys):
+    # The closure head scans a box as wide as the exponent, past what
+    # range() can size.
+    for text in (
+        "vars: x ; ideal: x^9223372036854775807",
+        "vars: x,y ; ideal: x^9223372036854775807, x*y",
+    ):
+        code, _ = run(tmp_path, "closure", "--ideal", text, "--nmax", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("monofilt: error: a number is too large")
         assert "Traceback" not in err
 
 

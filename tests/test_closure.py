@@ -5,11 +5,14 @@ from hypothesis import given, strategies as st
 
 from monofilt import (
     ClosureChain,
+    CyclicFilteredModule,
     DimensionLimitError,
     closure_powers_report,
+    colon_threshold,
     context,
     epsilon_estimate,
     filtration_bound_check,
+    find_superficial,
     ideal,
     integral_closure_power,
     newton_polyhedron,
@@ -18,6 +21,9 @@ from monofilt import (
     parse_problem,
     powers_report,
     rees_cofinality_constant,
+    theorem_filtration,
+    verify_certificate,
+    zero_ideal,
 )
 
 import monofilt.closure as closure
@@ -204,6 +210,27 @@ def test_entry_points_refuse_the_wrong_kind_of_term_system(kxy):
             entry(ClosureChain(I).term)
 
 
+def _on_ring(s):
+    return CyclicFilteredModule(zero_ideal(s.ctx), s)
+
+
+def _thresholds(s):
+    # The colon threshold of each generator of I, an element of T(1).
+    I = s.I if isinstance(s, TermSystem) else s
+    return [colon_threshold(_on_ring(s), x, 1, 6) for x in I.generators]
+
+
+def _engine_verdicts(s):
+    # Each certificate an engine of s holds, verified on a module of s.
+    engine = FiltrationEngine(s)
+    engine.filtration(4)
+    return [
+        (J, cert, verify_certificate(CyclicFilteredModule(J, s), cert))
+        for J, cert in engine._certs.items()
+        if cert is not None
+    ]
+
+
 # Each entry point: the term system it reads, and a call returning comparable results.
 _BOTH_FORMS = {
     "FiltrationEngine": (TermSystem, lambda s: [FiltrationEngine(s).filtration(n) for n in (1, 2, 3)]),
@@ -216,6 +243,10 @@ _BOTH_FORMS = {
     "rees_cofinality_constant": (ClosureChain, lambda s: rees_cofinality_constant(s, 6)),
     "closure_powers_report": (ClosureChain, lambda s: closure_powers_report(s, 4).to_document()),
     "integral_closure_power": (ClosureChain, lambda s: [integral_closure_power(s, n) for n in range(1, 5)]),
+    "find_superficial": (TermSystem, lambda s: find_superficial(_on_ring(s), n_max=6)),
+    "colon_threshold": (TermSystem, _thresholds),
+    "verify_certificate": (TermSystem, _engine_verdicts),
+    "theorem_filtration": (TermSystem, lambda s: [theorem_filtration(_on_ring(s), n) for n in (1, 2, 3)]),
 }
 
 

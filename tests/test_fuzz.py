@@ -41,7 +41,15 @@ def test_parse_problem_raises_only_input_errors(text):
 
 @given(_inputs)
 def test_cli_exit_codes_without_traceback(text):
-    for command in (["ass"], ["powers", "--mode", "naive"], ["epsilon"]):
+    for command in (
+        ["ass"],
+        ["powers", "--mode", "naive"],
+        ["powers", "--mode", "both"],
+        ["superficial"],
+        ["closure"],
+        ["epsilon"],
+        ["cm"],
+    ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(command + ["--ideal", text, "--nmax", "1", "--format", "json"])

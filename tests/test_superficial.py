@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from monofilt import (
     ClosureChain,
     CyclicFilteredModule,
     FiltrationEngine,
+    closure_powers_report,
     cofinality_table,
     colon_threshold,
     context,
@@ -422,16 +424,53 @@ def test_colon_threshold_matches_the_upward_loop(drawn, order_max):
 
 def test_engine_certificates_verify(suite_reports, kxy):
     # Every certificate an engine holds, of either kind, passes the
-    # independent level-by-level check; (x^4, x*y, y^4) holds a splice one.
+    # independent level-by-level check on the engine's own term system;
+    # (x^4, x*y, y^4) holds a splice one.  Some closure-chain certificates
+    # lie outside I, so they fail when read as ordinary powers.
     engines = [report.engine for report in suite_reports.values()]
     engines.append(powers_report(parse_ideal("x^4, x*y, y^4", kxy), 6).engine)
+    for text in ("x^3, y^3", "x^2, x*y", "x^3, x*y^2", "x^4, x*y, y^4"):
+        engines.append(closure_powers_report(parse_ideal(text, kxy), 6).engine)
     kinds = Counter()
     for engine in engines:
         for J, cert in engine._certs.items():
             if cert is not None:
-                assert verify_certificate(CyclicFilteredModule(J, engine.ts.I), cert), (J, cert)
+                assert verify_certificate(CyclicFilteredModule(J, engine.ts), cert), (J, cert)
                 kinds[type(cert)] += 1
+                if isinstance(engine.ts, ClosureChain):
+                    kinds["closure"] += 1
+                    kinds["fails as powers"] += not verify_certificate(
+                        CyclicFilteredModule(J, engine.ts.I), cert
+                    )
     assert kinds[SpliceCertificate] >= 1 and kinds[SuperficialCertificate] >= 1
+    assert kinds["closure"] > kinds["fails as powers"] >= 1
+
+
+def test_closure_certificate_outside_I_verifies_on_its_chain(kxy):
+    # On (x^3, y^3) at J = (x^3, y^3) the closure engine splices along
+    # x^2*y, which lies in closure(I) but not in I.
+    I = J = parse_ideal("x^3, y^3", kxy)
+    chain = ClosureChain(I)
+    cert = SuperficialCertificate((2, 1), 1, 2, 1, 12)
+    assert closure_powers_report(chain, 6).engine._certs[J] == cert
+    assert verify_certificate(CyclicFilteredModule(J, chain), cert)
+    assert not verify_certificate(CyclicFilteredModule(J, I), cert)
+    assert colon_threshold(CyclicFilteredModule(J, chain), (2, 1), 1, 12) == 1
+    with pytest.raises(ValueError, match="does not lie in the required term ideal"):
+        colon_threshold(CyclicFilteredModule(J, I), (2, 1), 1, 12)
+
+
+@pytest.mark.parametrize("kind", [TermSystem, ClosureChain])
+def test_verify_leaves_the_given_system_unchanged(kxy, kind):
+    ts = kind(parse_ideal("x^3, y^3", kxy))
+    engine = FiltrationEngine(ts)
+    engine.filtration(6)
+    caches = ("_terms", "_sums", "_colons", "_annihilator_colons", "_memo")
+    before = {name: copy.copy(getattr(ts, name)) for name in caches}
+    for J, cert in engine._certs.items():
+        if cert is not None:
+            assert verify_certificate(CyclicFilteredModule(J, ts), cert)
+    assert {name: getattr(ts, name) for name in caches} == before
 
 
 def test_verify_checks_splice_certificates(kxy):
