@@ -61,10 +61,19 @@ WINDOW = 4
 
 
 class FiltrationEngine:
-    """Shared state for one sweep: its term system, certificates, and memoized builds.
+    """Shared state for one sweep: its term system and the splice graph it has built.
 
     ``source`` is the filtration ideal I, whose terms are its powers, or a
     term system of I that the engine reads and extends.
+
+    The graph's nodes are the annihilators J the recursion reaches, each
+    with its certificate (x, m) or None in ``_certs``; a certified node has
+    edges to J : x, m levels down, and to J + (x) at the same level.  The
+    level table holds one record per (J, n) built: the filtration, whether
+    a greedy fallback lies below it, the splice taken or None, and the
+    fallback reason or None.  ``_greedy`` keeps the leaf filtrations by
+    base.  ``glue_nodes`` and ``fallback_nodes`` are read-only views of the
+    level table.
     """
 
     def __init__(
@@ -80,10 +89,19 @@ class FiltrationEngine:
         self.order_max = order_max
         self.verify_to = verify_to
         self._certs = {}
-        self._memo = {}
         self._greedy = {}
-        self.glue_nodes = {}
-        self.fallback_nodes = {}
+        self._levels = {}
+
+    @property
+    def glue_nodes(self) -> dict:
+        """(J, n) -> its splice: multiplier, order, and the left and right (J, n) nodes."""
+        return {key: level[2] for key, level in self._levels.items() if level[2] is not None}
+
+    @property
+    def fallback_nodes(self) -> dict:
+        """(J, n) -> why that level was built greedily, by level and then generators."""
+        fallbacks = [(key, level[3]) for key, level in self._levels.items() if level[3] is not None]
+        return dict(sorted(fallbacks, key=lambda item: (item[0][1], item[0][0].generators)))
 
     def certificate(
         self, J: MonomialIdeal
@@ -101,60 +119,49 @@ class FiltrationEngine:
         """Filtration of R/(T(n) + J) plus a flag for greedy fallbacks in the subtree."""
         if J is None:
             J = zero_ideal(self.ctx)
-        if (J, n) not in self._memo:
+        if (J, n) not in self._levels:
             # Levels below first: a left branch with J : x = J then finds its
-            # child memoized, so the recursion stays shallow at any n.
+            # child built, so the recursion stays shallow at any n.
             for level in range(n):
                 self._build(J, level)
         return self._build(J, n)
 
-    def _greedy_filtration(self, base: MonomialIdeal) -> PrimeFiltration:
-        # Stationary leaves (base == J) and fallbacks share one filtration per base.
-        if base not in self._greedy:
-            self._greedy[base] = naive_prime_filtration(base)
-        return self._greedy[base]
-
     def _build(self, J: MonomialIdeal, n: int):
-        key = (J, n)
-        if key in self._memo:
-            return self._memo[key]
+        # The one place a level's record is made: a leaf, a fallback, or a splice.
+        if (J, n) in self._levels:
+            return self._levels[(J, n)][:2]
         base = self.ts.term_plus(J, n)
-        if base.is_unit():
-            result = (PrimeFiltration(base, ()), False)
-        elif base == J:
-            result = (self._greedy_filtration(base), False)
+        splice = reason = None
+        if not base.is_unit() and base != J:
+            cert = self.certificate(J)
+            if cert is None:
+                reason = "neither a superficial nor a splice certificate for this module"
+            elif n < cert.colon_threshold:
+                reason = "level below the certified colon threshold"
+            elif not _colon_identity_holds(self.ts, J, cert.element, cert.order, n):
+                reason = "colon identity failed on recheck at this level"
+            else:
+                x, m = cert.element, cert.order
+                splice = {
+                    "multiplier": x,
+                    "order": m,
+                    "left": (self.ts.annihilator_colon(J, x), max(n - m, 0)),
+                    "right": (J.add_monomial(x), n),
+                }
+        if splice is not None:
+            left, left_fb = self._build(*splice["left"])
+            right, right_fb = self._build(*splice["right"])
+            filtration = glue(base, splice["multiplier"], left, right)
+            fell_back = left_fb or right_fb
+        elif base.is_unit():
+            filtration, fell_back = PrimeFiltration(base, ()), False
         else:
-            result = self._build_glued(J, n, base)
-        self._memo[key] = result
-        return result
-
-    def _build_glued(self, J: MonomialIdeal, n: int, base: MonomialIdeal):
-        cert = self.certificate(J)
-        if cert is None:
-            return self._fallback(
-                J, n, base, "neither a superficial nor a splice certificate for this module"
-            )
-        if n < cert.colon_threshold:
-            return self._fallback(J, n, base, "level below the certified colon threshold")
-        x, m = cert.element, cert.order
-        if not _colon_identity_holds(self.ts, J, x, m, n):
-            return self._fallback(J, n, base, "colon identity failed on recheck at this level")
-        left_ann, left_n = self.ts.annihilator_colon(J, x), max(n - m, 0)
-        right_ann = J.add_monomial(x)
-        left, left_fb = self._build(left_ann, left_n)
-        right, right_fb = self._build(right_ann, n)
-        glued = glue(base, x, left, right)
-        self.glue_nodes[(J, n)] = {
-            "multiplier": x,
-            "order": m,
-            "left": (left_ann, left_n),
-            "right": (right_ann, n),
-        }
-        return (glued, left_fb or right_fb)
-
-    def _fallback(self, J: MonomialIdeal, n: int, base: MonomialIdeal, reason: str):
-        self.fallback_nodes[(J, n)] = reason
-        return (self._greedy_filtration(base), True)
+            # Stationary leaves (base == J) and fallbacks share one filtration per base.
+            if base not in self._greedy:
+                self._greedy[base] = naive_prime_filtration(base)
+            filtration, fell_back = self._greedy[base], reason is not None
+        self._levels[(J, n)] = (filtration, fell_back, splice, reason)
+        return filtration, fell_back
 
 
 def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
@@ -375,12 +382,8 @@ def powers_report(
         exponent = fit_growth_exponent(points)
         used = sum(1 for _, mu in points if mu > 0)
         growth.append((p, exponent, used))
-    fallback_nodes = tuple(
-        (J, n, reason)
-        for (J, n), reason in sorted(
-            (engine.fallback_nodes if engine is not None else {}).items(),
-            key=lambda item: (item[0][1], item[0][0].generators),
-        )
+    fallback_nodes = () if engine is None else tuple(
+        (J, n, reason) for (J, n), reason in engine.fallback_nodes.items()
     )
     return PowersReport(
         ctx=I.ctx,
@@ -423,20 +426,23 @@ class AssStabilityReport:
         }
 
 
-def ass_stability(I: MonomialIdeal, n_max: int, window: int = WINDOW) -> AssStabilityReport:
-    """Associated primes of R/I^n per level, their union, and the detected onset.
+def ass_stability(
+    source: "MonomialIdeal | TermSystem", n_max: int, window: int = WINDOW
+) -> AssStabilityReport:
+    """Associated primes of R/T(n) per level, their union, and the detected onset.
 
+    ``source`` is the ideal I, whose level n is I^n, or a term system of I.
     The onset is the first level of the maximal trailing run of constant Ass
     sets, reported only when the run covers at least ``window`` levels.
     """
     check_counts(n_max=n_max, window=window)
-    ts = TermSystem(I)
-    per_n = [(n, tuple(associated_primes(ts.term(n)))) for n in range(1, n_max + 1)]
+    ts = terms_of(source)
+    per_n = [(n, tuple(ts.memo(associated_primes, n))) for n in range(1, n_max + 1)]
     union = sorted({p for _, primes in per_n for p in primes})
     onset = detect_stabilization([primes for _, primes in per_n], window, 0).get("onset")
     return AssStabilityReport(
-        ctx=I.ctx,
-        ideal=I,
+        ctx=ts.ctx,
+        ideal=ts.I,
         n_max=n_max,
         window=window,
         per_n=tuple(per_n),

@@ -28,6 +28,11 @@ with redirect_stdout(io.StringIO()):
     code = cli.main(["powers", "--mode", "both", "--ideal", "vars: x,y ; ideal: x^2, x*y", "--nmax", "3"])
 assert code == 0, code
 assert tracer.counts["decomposition.cells_scanned"] > 0
+assert tracer.counts["powers.engine.glue_nodes"] > 0, tracer.counts
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["powers", "--ideal", "vars: x,y ; ideal: x^2*y, x*y^2", "--nmax", "2"])
+assert code == 0, code
+assert tracer.counts["powers.engine.fallback_nodes"] > 0, tracer.counts
 with redirect_stdout(io.StringIO()):
     code = cli.main(["powers", "--mode", "naive", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "3"])
 assert code == 0, code

@@ -7,6 +7,7 @@ from monofilt import (
     ClosureChain,
     CyclicFilteredModule,
     DimensionLimitError,
+    ass_stability,
     closure_powers_report,
     colon_threshold,
     context,
@@ -247,6 +248,7 @@ _BOTH_FORMS = {
     "colon_threshold": (TermSystem, _thresholds),
     "verify_certificate": (TermSystem, _engine_verdicts),
     "theorem_filtration": (TermSystem, lambda s: [theorem_filtration(_on_ring(s), n) for n in (1, 2, 3)]),
+    "ass_stability": (TermSystem, lambda s: ass_stability(s, 6).to_document()),
 }
 
 

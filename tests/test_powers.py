@@ -14,8 +14,10 @@ from monofilt import (
     ass_stability,
     associated_primes,
     bad_filtration_fixture,
+    closure_powers_report,
     context,
     ideal,
+    naive_prime_filtration,
     parse_ideal,
     parse_problem,
     powers_report,
@@ -332,3 +334,97 @@ def test_naive_digests_match_golden():
         _, I = parse_problem(case["ideal"])
         report = powers_report(I, case["n_max"], "naive")
         assert [r.digest for r in report.records] == case["digests"], case["ideal"]
+
+
+# Engine records pinned in tests/golden/engine_records.json: the curated
+# suite's engines at n = 9, reports and verify_to = 2 engines of two ideals,
+# and the closure engine of (x^3, y^3).
+ENGINE_RECORD_N_MAX = 9
+ENGINE_RECORD_IDEALS = ("vars: x,y ; ideal: x^4, x*y, y^4", "vars: x,y ; ideal: x^2*y, x*y^2")
+
+
+def _record_cases(curated_texts):
+    for text in curated_texts:
+        yield f"powers {text}", powers_report(parse_problem(text)[1], ENGINE_RECORD_N_MAX).engine
+    for text in ENGINE_RECORD_IDEALS:
+        I = parse_problem(text)[1]
+        yield f"powers {text}", powers_report(I, ENGINE_RECORD_N_MAX).engine
+        engine = FiltrationEngine(I, verify_to=2)
+        for n in range(1, ENGINE_RECORD_N_MAX + 1):
+            engine.filtration(n)
+        yield f"verify_to 2 {text}", engine
+    text = "vars: x,y ; ideal: x^3, y^3"
+    yield f"closure {text}", closure_powers_report(parse_problem(text)[1], ENGINE_RECORD_N_MAX).engine
+
+
+def engine_records(curated_texts):
+    """Each case's glue and fallback records as text, in (level, generators) order."""
+
+    def node(J, n):
+        return f"({', '.join(J.generator_strings())}) n={n}"
+
+    def ordered(records):
+        return sorted(records.items(), key=lambda item: (item[0][1], item[0][0].generators))
+
+    cases = []
+    for case, engine in _record_cases(curated_texts):
+        ctx = engine.ctx
+        glue_nodes = [
+            f"{node(J, n)}: x={ctx.monomial_str(r['multiplier'])} m={r['order']}"
+            f" left={node(*r['left'])} right={node(*r['right'])}"
+            for (J, n), r in ordered(engine.glue_nodes)
+        ]
+        fallback_nodes = [f"{node(J, n)}: {reason}" for (J, n), reason in ordered(engine.fallback_nodes)]
+        cases.append({"case": case, "glue_nodes": glue_nodes, "fallback_nodes": fallback_nodes})
+    return cases
+
+
+def test_engine_records_match_golden(curated_ideals):
+    # Recorded at commit b0db03d, while the engine still kept its glue and
+    # fallback records in dicts of their own.
+    golden = json.loads((Path(__file__).parent / "golden" / "engine_records.json").read_text())
+    assert engine_records(curated_ideals) == golden
+
+
+@pytest.mark.parametrize(
+    "text, verify_to, n, annihilator, reason",
+    [
+        ("vars: x,y,z ; ideal: y^3*z, x^3*y*z^2", None, 1, None,
+         "neither a superficial nor a splice certificate for this module"),
+        ("vars: x,y ; ideal: x^3, x*y^2, y^3", None, 1, "x^3",
+         "level below the certified colon threshold"),
+        ("vars: x,y,z ; ideal: y^3*z, x^3*y*z^2", 2, 3, None,
+         "colon identity failed on recheck at this level"),
+    ],
+)
+def test_each_fallback_reason(text, verify_to, n, annihilator, reason):
+    # One node per reason the engine gives for building a level greedily.
+    ctx, I = parse_problem(text)
+    J = zero_ideal(ctx) if annihilator is None else parse_ideal(annihilator, ctx)
+    if verify_to is None:
+        report = powers_report(I, 6)
+        assert (J, n, reason) in report.fallback_nodes
+        engine = report.engine
+    else:
+        engine = FiltrationEngine(I, verify_to=verify_to)
+        for level in range(1, 7):
+            engine.filtration(level)
+    assert engine.fallback_nodes[(J, n)] == reason
+    filtration, fell_back = engine.filtration(n, J)
+    assert fell_back
+    assert filtration == naive_prime_filtration(engine.ts.term_plus(J, n))
+    assert (J, n) not in engine.glue_nodes
+
+
+def test_fallback_nodes_come_in_report_order():
+    # The recursion meets this engine's three level-2 fallbacks in an order
+    # their generators do not sort in; the view lists them by level, then
+    # generators, the order of a report's fallback_nodes.
+    _, I = parse_problem("vars: x,y,z ; ideal: x^3, x*z^3, x^2*y^3*z")
+    engine = FiltrationEngine(I, verify_to=4)
+    for n in range(1, 7):
+        engine.filtration(n)
+    built = [key for key, level in engine._levels.items() if level[3] is not None]
+    report_order = sorted(built, key=lambda key: (key[1], key[0].generators))
+    assert built != report_order
+    assert list(engine.fallback_nodes) == report_order
