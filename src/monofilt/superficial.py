@@ -35,33 +35,32 @@ ceil(a_i / g_ji), and |b| <= D(x), against k + 1 - h > D(x).  (The
 argument is Brodmann's finiteness of the Rees algebra, Proc. AMS 74, 1979,
 made explicit for monomials.)
 
-Consequences, for x in T(m), N >= rees = max(D(x) + h, m), and J the
-annihilator.  Monomial colons distribute over sums, so (T(n) + J) : x =
-(J : x) + (T(n) : x), and the colon identity at n says T(n) : x lies in
-(J : x) + T(n - m); the other containment always holds.  If the identity
-holds at N, then T(N + 1) : x = I * (T(N) : x) lies in (J : x) + I * T(N - m),
-inside (J : x) + T(N + 1 - m): the identity holds at every n >= N.  So the
-threshold scan checks the level rees first and, when the identity holds
-there, scans down from it only.
+Consequences, for x in T(m), J the annihilator and rees = max(D(x) + h, m).
+Monomial colons distribute over sums, so the colon identity at n says that
+T(n) : x lies in (J : x) + T(n - m); the other containment always holds.
+If it holds at some N >= rees, then T(N + 1) : x = I * (T(N) : x) lies in
+(J : x) + T(N + 1 - m), so it holds at every n >= N: the threshold scan
+checks rees first and, when the identity holds there, scans down from it
+only.  Call the identity at level L known when threshold <= L and either
+L <= verify_to, where the scan checked it, or rees <= verify_to.
 
-Monomial ideals form a distributive lattice, so the defining condition
-(c, n), ((T(n + m) + J) : x) meet (T(c) + J) in T(n) + J, splits into
+In the distributive lattice of monomial ideals the defining condition
+D(c, n), ((T(n + m) + J) : x) meet (T(c) + J) in T(n) + J, is A(n) and B(n):
 
-    A(n): (J : x) meet (T(c) + J) in T(n) + J, harder as n grows, and
+    A(n): (J : x) meet (T(c) + J) in T(n) + J, and
     B(n): (T(n + m) : x) meet (T(c) + J) in T(n) + J.
 
-The colon identity at n + m gives T(n + m) : x in (J : x) + T(n), and then
-B(n) follows from A(n).  Once the identity holds at every level from some
-stable <= verify_to on, (c, n) is A(n) for every n >= stable - m, and A at
-verify_to implies A at each level below.  So the search checks (c, n) level
-by level below stable - m and then A(verify_to) alone, with no colon above
-level stable.  Where D(x) + h exceeds verify_to the search checks every
-level, as before.  Neither shortcut enters a filtration: the engine rechecks
-the identity at each level it splices, and every level is validated.
+T descends, so A(verify_to) implies A(n) for n <= verify_to; where the
+identity at n + m is known, T(n + m) : x lies in (J : x) + T(n) and B(n)
+follows from A(n).  So the search checks A(verify_to), and D(c, n) only at
+the levels c <= n <= verify_to whose identity at n + m is not known.  No
+shortcut enters a filtration: the engine rechecks the identity at each level
+it splices, and every level is validated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,9 +94,10 @@ class SuperficialCertificate:
     """An element x of T(order) outside the annihilator J, superficial past c.
 
     The colon identity holds for colon_threshold <= n <= verified_to and the
-    defining condition for c <= n <= verified_to.  The search checks each
-    level up to the Rees level of x and derives the levels above it (module
-    docstring); :func:`verify_certificate` checks every level.
+    defining condition for c <= n <= verified_to.  The search derives the
+    condition at each level where the identity is known (module docstring)
+    and checks it in full at the others; :func:`verify_certificate` checks
+    every level.
     """
 
     element: Monomial
@@ -142,11 +142,13 @@ class TermSystem:
     descending with T(a) * T(b) contained in T(a + b), and T(n) for n <= 0
     is T(0), the unit ideal.
 
-    The colons (T(n) + J) : x and J : x by a candidate x are what the
-    certificate searches and the engine's recheck compare; each is computed
-    once per system, and so is each per-level value read through
-    :meth:`memo`.  Every analysis builds or receives a term system, so this
-    is where a zero or unit ideal is refused.
+    Besides the terms, a system keeps one memo table.  It holds the sums
+    T(n) + J, the colons (T(n) + J) : x and J : x by a candidate x, which the
+    certificate searches and the engine's recheck compare, and the per-level
+    values read through :meth:`memo`; each key is tagged with the method
+    that fills it, and each value is computed once per system.  Every
+    analysis builds or receives a term system, so this is where a zero or
+    unit ideal is refused.
     """
 
     def __init__(self, I: MonomialIdeal):
@@ -156,9 +158,6 @@ class TermSystem:
         self.ctx = I.ctx
         self._terms = [unit_ideal(I.ctx)]
         self._head = 1  # T(n) = I * T(n - 1) from n = _head on
-        self._sums = {}
-        self._colons = {}
-        self._annihilator_colons = {}
         self._memo = {}
 
     def term(self, n: int) -> MonomialIdeal:
@@ -173,6 +172,14 @@ class TermSystem:
             max(-(-a // g) for a, g in zip(x, gen) if g) for gen in self.I.generators
         )
 
+    def _cached(self, key: tuple, compute):
+        # The one get-or-compute of the system's memo table.  Its values can
+        # be falsy (a torsion length of 0), so presence is what is tested.
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def memo(self, fn, n: int):
         """fn(T(n)), computed once per system for each function and level.
 
@@ -180,31 +187,19 @@ class TermSystem:
         Ass(R/T(n)) for both sweeps of ``powers --mode both``, the torsion
         lengths for the estimate and the bound check of ``epsilon``.
         """
-        key = (fn, n)
-        if key not in self._memo:
-            self._memo[key] = fn(self.term(n))
-        return self._memo[key]
+        return self._cached(("memo", fn, n), lambda: fn(self.term(n)))
 
     def term_plus(self, J: MonomialIdeal, n: int) -> MonomialIdeal:
         """T(n) + J, cached; the base ideal of the module level n."""
-        key = (J, n)
-        if key not in self._sums:
-            self._sums[key] = self.term(n) + J
-        return self._sums[key]
+        return self._cached(("sum", J, n), lambda: self.term(n) + J)
 
     def colon(self, J: MonomialIdeal, n: int, x: Monomial) -> MonomialIdeal:
         """(T(n) + J) : x, cached; a certificate search asks for it at every c."""
-        key = (J, n, x)
-        if key not in self._colons:
-            self._colons[key] = self.term_plus(J, n).colon_monomial(x)
-        return self._colons[key]
+        return self._cached(("colon", J, n, x), lambda: self.term_plus(J, n).colon_monomial(x))
 
     def annihilator_colon(self, J: MonomialIdeal, x: Monomial) -> MonomialIdeal:
         """J : x, cached; the colon identity asks for it at every level."""
-        key = (J, x)
-        if key not in self._annihilator_colons:
-            self._annihilator_colons[key] = J.colon_monomial(x)
-        return self._annihilator_colons[key]
+        return self._cached(("annihilator colon", J, x), lambda: J.colon_monomial(x))
 
 
 def check_counts(**counts: int) -> None:
@@ -232,26 +227,21 @@ def _defining_condition_holds(
     return cut == ts.term_plus(J, n)
 
 
-def _annihilator_part_holds(
-    ts: TermSystem, J: MonomialIdeal, x: Monomial, c: int, n: int
+def _superficial_to(
+    ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, c: int, verify_to: int, threshold: int
 ) -> bool:
-    # A(n): (J : x) intersected with (T(c) + J) lies in T(n) + J.
+    # The defining condition D(c, n) for c <= n <= verify_to: A(verify_to),
+    # then D(c, n) at each level n whose colon identity at n + m is not known
+    # (module docstring).
+    known_to = math.inf if max(ts.rees_level(x), m) <= verify_to else verify_to
     part = ts.annihilator_colon(J, x)
     if c:
         part = part.intersect(ts.term_plus(J, c))
-    return ts.term_plus(J, n).contains_ideal(part)
-
-
-def _superficial_to(
-    ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, c: int, verify_to: int, stable: int
-) -> bool:
-    # The defining condition for c <= n <= verify_to, given the colon
-    # identity at every level from stable on: past stable - m it is A(n).
-    if stable > verify_to:
-        return all(_defining_condition_holds(ts, J, x, m, c, n) for n in range(c, verify_to + 1))
-    return all(
-        _defining_condition_holds(ts, J, x, m, c, n) for n in range(c, max(c, stable - m))
-    ) and _annihilator_part_holds(ts, J, x, c, verify_to)
+    return ts.term_plus(J, verify_to).contains_ideal(part) and all(
+        _defining_condition_holds(ts, J, x, m, c, n)
+        for n in range(c, verify_to + 1)
+        if not threshold <= n + m <= known_to
+    )
 
 
 def _colon_identity_holds(ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, n: int) -> bool:
@@ -282,6 +272,14 @@ def colon_threshold_for(
     return n + 1 if n < n_max else None
 
 
+def _lies_in_term(ts: TermSystem, x: Monomial, m: int) -> bool:
+    # Every monomial of T(m), a power of I or its closure, has degree at
+    # least m times the least generator degree of I; a lower degree answers
+    # without building T(m), which a huge order would make costly.
+    least = min(sum(g) for g in ts.I.generators)
+    return sum(x) >= m * least and ts.term(m).contains(x)
+
+
 def _scan(ts: TermSystem, J: MonomialIdeal, order_max: int):
     # Candidate (order, element) pairs in scan order: order, then grlex, as
     # T(m) stores its generators.  Candidates in J act as zero and are skipped.
@@ -305,9 +303,11 @@ def search_certificate(
     for every c <= n <= verify_to, for some c <= c_max, is returned as a
     superficial certificate.  The condition at n = c holds for every x, since
     x * (T(c) + J) lies in T(c + m) + J, so c stops below verify_to and every
-    certificate rests on a level n > c.  Both conditions are checked level
-    by level up to the Rees level of x and derived above it (module
-    docstring).  Monomial superficial elements need not exist; then the
+    certificate rests on a level n > c.  The colon identity is checked level
+    by level from the Rees level of x down; the defining condition is
+    checked as A(verify_to), and in full only at the levels n whose
+    identity at n + m is not known (module docstring).  Monomial
+    superficial elements need not exist; then the
     first candidate with a threshold is returned as a splice certificate,
     and None when there is none.
 
@@ -321,9 +321,8 @@ def search_certificate(
         threshold = colon_threshold_for(ts, J, x, m, verify_to)
         if threshold is None:
             continue
-        stable = max(threshold, ts.rees_level(x), m)
         for c in range(0, min(c_max, verify_to - 1) + 1):
-            if _superficial_to(ts, J, x, m, c, verify_to, stable):
+            if _superficial_to(ts, J, x, m, c, verify_to, threshold):
                 return SuperficialCertificate(x, m, c, threshold, verify_to)
         if splice is None:
             splice = SpliceCertificate(x, m, threshold, verify_to)
@@ -359,7 +358,7 @@ def colon_threshold(
     """
     check_counts(order=m)
     ts = terms_of(module.filtration_ideal)
-    if not ts.term(m).contains(x):
+    if not _lies_in_term(ts, x, m):
         raise ValueError("candidate element does not lie in the required term ideal")
     return colon_threshold_for(ts, module.annihilator, x, m, n_max)
 
@@ -392,7 +391,7 @@ def verify_certificate(
         x = _checked(x, module.ctx.num_vars)
     except (TypeError, ValueError):
         return False
-    if m < 1 or not 1 <= threshold <= top or J.contains(x) or not ts.term(m).contains(x):
+    if m < 1 or not 1 <= threshold <= top or J.contains(x) or not _lies_in_term(ts, x, m):
         return False
     if threshold > 1 and _colon_identity_holds(ts, J, x, m, threshold - 1):
         return False

@@ -25,6 +25,7 @@ from monofilt import (
     verify_certificate,
     zero_ideal,
 )
+from monofilt import superficial
 from monofilt.ring import MonomialIdeal
 from monofilt.superficial import (
     C_MAX,
@@ -87,6 +88,32 @@ def test_colon_threshold_rejects_order_below_one(kxy):
     M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal("x^2, x*y", kxy))
     with pytest.raises(ValueError):
         colon_threshold(M, (0, 0), 0, 5)
+
+
+@pytest.mark.parametrize("kind", [TermSystem, ClosureChain])
+def test_huge_orders_are_answered_from_degrees(monkeypatch, kxy, kind):
+    # Every monomial of T(m) has degree at least 2 * m here, so x of degree 1
+    # lies in no T(m) and T(10**6) is never built; small orders answer as
+    # they did when T(m) was always built.
+    I = parse_ideal("x^2, y^2", kxy)
+    asked = []
+    term = TermSystem.term
+    monkeypatch.setattr(TermSystem, "term", lambda ts, n: asked.append(n) or term(ts, n))
+    module = CyclicFilteredModule(zero_ideal(kxy), kind(I))
+    for order in (1, 2, 10**6):
+        assert not verify_certificate(module, SpliceCertificate((1, 0), order, 1, 1))
+        with pytest.raises(ValueError, match="does not lie in the required term ideal"):
+            colon_threshold(module, (1, 0), order, 4)
+    assert max(asked, default=0) <= 4
+    assert verify_certificate(module, SpliceCertificate((2, 0), 1, 1, 4))
+    assert colon_threshold(module, (2, 0), 1, 4) == 1
+    assert not verify_certificate(module, SpliceCertificate((2, 2), 3, 1, 4))
+    # x*y has the degree of T(1) but lies only in its closure.
+    if kind is ClosureChain:
+        assert colon_threshold(module, (1, 1), 1, 4) == 1
+    else:
+        with pytest.raises(ValueError, match="does not lie in the required term ideal"):
+            colon_threshold(module, (1, 1), 1, 4)
 
 
 def test_verify_rejects_order_below_one_and_c_outside_the_range(kxy):
@@ -465,7 +492,7 @@ def test_verify_leaves_the_given_system_unchanged(kxy, kind):
     ts = kind(parse_ideal("x^3, y^3", kxy))
     engine = FiltrationEngine(ts)
     engine.filtration(6)
-    caches = ("_terms", "_sums", "_colons", "_annihilator_colons", "_memo")
+    caches = ("_terms", "_memo")
     before = {name: copy.copy(getattr(ts, name)) for name in caches}
     for J, cert in engine._certs.items():
         if cert is not None:
@@ -566,6 +593,24 @@ def test_levels_are_derived_only_above_the_colon_threshold(kxyz):
     cert = search_certificate(ts, J, 2, C_MAX, 8)
     assert cert == SuperficialCertificate((0, 2, 3), 1, 2, 4, 8)
     assert cert == oracles.reference_level_by_level_search(TermSystem(I), J, 2, C_MAX, 8)
+
+
+def test_search_checks_the_full_condition_only_where_the_identity_is_unknown(monkeypatch, kxy):
+    # x*y has colon threshold 1 and Rees level 3 <= 18, so its colon identity
+    # is known at every level from 1 on: A(18) alone settles c = 0, and the
+    # full defining condition is checked at no level.
+    levels = []
+    holds = superficial._defining_condition_holds
+
+    def counted(ts, J, x, m, c, n):
+        levels.append(n)
+        return holds(ts, J, x, m, c, n)
+
+    monkeypatch.setattr(superficial, "_defining_condition_holds", counted)
+    ts = TermSystem(parse_ideal("x^4, x*y, y^4", kxy))
+    cert = search_certificate(ts, zero_ideal(kxy), 3, C_MAX, 18)
+    assert cert == SuperficialCertificate((1, 1), 1, 0, 1, 18)
+    assert levels == []
 
 
 def test_empty_range_gives_no_threshold_and_no_certificate(kxy):
