@@ -375,10 +375,22 @@ _HANDLERS = {
 }
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The first call builds the argparse tree with ``build_parser()`` and keeps
+    it for the rest of the process; later calls reuse it, since parsing keeps
+    no state in the parser.  ``build_parser()`` itself returns a new parser on
+    every call.  Nothing else is kept between calls.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 1
     try:

@@ -7,10 +7,13 @@ such as the ``src`` directories of two checkouts.  The command lines are
 every fixed job of the benchmark workloads (``bench/jobs.py``) and their
 seeded jobs for seeds 1..N (default 10), each in the ``json``, ``human`` and
 ``csv`` formats.  Each side runs all of them through ``monofilt.cli.main`` in
-one subprocess, with ``PYTHONHASHSEED=0``.  The script prints the number of
-command lines compared and each one whose stdout, stderr or exit code
-differs, and exits 1 on any difference.  It uses the standard library only
-and writes nothing.
+one subprocess, with ``PYTHONHASHSEED=0``.  The change side runs them a second
+time in reverse order, in another subprocess, so that output which depends on
+the calls made before it in the same process shows.  The script prints the
+number of command lines compared, each one whose stdout, stderr or exit code
+differs between the two sides, and each one whose output on the change side
+differs between the two orders; it exits 1 on any difference.  It uses the
+standard library only and writes nothing.
 """
 
 from __future__ import annotations
@@ -87,6 +90,16 @@ def run_side(src: str, lines: list) -> list:
     return json.loads(done.stdout)
 
 
+def _differences(lines: list, ours: list, theirs: list, verb: str) -> list:
+    """One text per command line whose stdout, stderr or exit code is not the same in both runs."""
+    texts = []
+    for line, a, b in zip(lines, ours, theirs):
+        parts = [name for name, x, y in zip(("stdout", "stderr", "exit code"), a, b) if x != y]
+        if parts:
+            texts.append(f"{', '.join(parts)} {verb}: monofilt {' '.join(line)}")
+    return texts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", help="directory holding the parent's monofilt package")
@@ -99,15 +112,14 @@ def main(argv=None) -> int:
     lines = command_lines(args.seeds)
     parent = run_side(args.parent_src, lines)
     change = run_side(args.change_src, lines)
-    differing = []
-    for line, a, b in zip(lines, parent, change):
-        parts = [name for name, x, y in zip(("stdout", "stderr", "exit code"), a, b) if x != y]
-        if parts:
-            differing.append(f"{', '.join(parts)} differ: monofilt {' '.join(line)}")
-    print(f"{len(lines)} command lines compared, {len(differing)} differ")
-    for text in differing:
+    reversed_change = run_side(args.change_src, lines[::-1])[::-1]
+    differing = _differences(lines, parent, change, "differ")
+    order_dependent = _differences(lines, change, reversed_change, "differ between the two orders")
+    print(f"{len(lines)} command lines compared, {len(differing)} differ, "
+          f"{len(order_dependent)} depend on the order of the calls")
+    for text in differing + order_dependent:
         print(text)
-    return 1 if differing else 0
+    return 1 if differing or order_dependent else 0
 
 
 if __name__ == "__main__":
