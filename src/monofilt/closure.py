@@ -42,6 +42,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import DimensionLimitError
+from .powers import powers_report
 from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
 from .superficial import TermSystem, check_counts, cofinality_table, terms_of
 
@@ -277,6 +278,4 @@ def closure_powers_report(source: "MonomialIdeal | ClosureChain", n_max: int, **
 
     ``source`` is I or its :class:`ClosureChain`.
     """
-    from .powers import powers_report
-
     return powers_report(terms_of(source, ClosureChain), n_max, **kwargs)

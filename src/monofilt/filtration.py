@@ -181,8 +181,16 @@ def _insert_value(axis: list, above: dict, exact: dict, a: int) -> None:
 def _first_malformed(steps, d: int) -> "int | None":
     """Index of the first step that is not a monomial and prime of the ring, if any."""
     indices = set(range(d))
-    for k, (w, prime) in enumerate(steps):
-        if not (isinstance(w, tuple) and len(w) == d and indices.issuperset(prime.support)):
+    for k, step in enumerate(steps):
+        if not (isinstance(step, tuple) and len(step) == 2):
+            return k
+        w, prime = step
+        if not (
+            isinstance(w, tuple)
+            and len(w) == d
+            and isinstance(prime, MonomialPrime)
+            and indices.issuperset(prime.support)
+        ):
             return k
         for v in w:
             if not isinstance(v, int) or v < 0:

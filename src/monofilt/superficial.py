@@ -44,18 +44,28 @@ checks rees first and, when the identity holds there, scans down from it
 only.  Call the identity at level L known when threshold <= L and either
 L <= verify_to, where the scan checked it, or rees <= verify_to.
 
-In the distributive lattice of monomial ideals the defining condition
-D(c, n), ((T(n + m) + J) : x) meet (T(c) + J) in T(n) + J, is A(n) and B(n):
+The defining condition is the equality ((T(n + m) + J) : x) meet
+(T(c) + J) = T(n) + J for c <= n, and one containment of it always holds:
+x * T(n) lies in T(n) * T(m), inside T(n + m), and T(n) lies in T(c), so
+T(n) + J lies in both factors of the meet.  So the condition is checked in
+its containment form D(c, n): the meet lies in T(n) + J.  A meet of
+monomial ideals is generated by the lcms of the generator pairs, so it lies
+in T(n) + J when each of them does; the check tests them in turn, stops at
+the first outside, and builds no intersection.  T(0) + J is R, whose one
+generator leaves every lcm unchanged, so c = 0 is no special case.
+
+In the distributive lattice of monomial ideals D(c, n) is A(n) and B(n):
 
     A(n): (J : x) meet (T(c) + J) in T(n) + J, and
     B(n): (T(n + m) : x) meet (T(c) + J) in T(n) + J.
 
 T descends, so A(verify_to) implies A(n) for n <= verify_to; where the
 identity at n + m is known, T(n + m) : x lies in (J : x) + T(n) and B(n)
-follows from A(n).  So the search checks A(verify_to), and D(c, n) only at
-the levels c <= n <= verify_to whose identity at n + m is not known.  No
-shortcut enters a filtration: the engine rechecks the identity at each level
-it splices, and every level is validated.
+follows from A(n).  So the search checks A(verify_to), a containment of the
+same form, and D(c, n) only at the levels c <= n <= verify_to whose
+identity at n + m is not known.  No shortcut enters a filtration: the
+engine rechecks the identity at each level it splices, and every level is
+validated.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ring import Monomial, MonomialIdeal, RingContext, _checked, unit_ideal
+from .ring import Monomial, MonomialIdeal, RingContext, _checked, mono_lcm, unit_ideal
 
 # Largest superficial constant c tried by a certificate search.
 C_MAX = 6
@@ -218,13 +228,17 @@ def terms_of(source: "MonomialIdeal | TermSystem", kind: type = TermSystem) -> T
     return source
 
 
+def _meet_lies_in(A: MonomialIdeal, B: MonomialIdeal, C: MonomialIdeal) -> bool:
+    # A meet B is generated by the lcms of the generator pairs, so it lies in
+    # C when each of them does; the scan stops at the first that does not.
+    return all(C.contains(mono_lcm(a, b)) for a in A.generators for b in B.generators)
+
+
 def _defining_condition_holds(
     ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, c: int, n: int
 ) -> bool:
-    # ((T(n+m) + J) : x) intersected with (T(c) + J) must equal T(n) + J.
-    colon = ts.colon(J, n + m, x)
-    cut = colon if c == 0 else colon.intersect(ts.term_plus(J, c))
-    return cut == ts.term_plus(J, n)
+    # D(c, n) in its containment form (module docstring).
+    return _meet_lies_in(ts.colon(J, n + m, x), ts.term_plus(J, c), ts.term_plus(J, n))
 
 
 def _superficial_to(
@@ -234,10 +248,8 @@ def _superficial_to(
     # then D(c, n) at each level n whose colon identity at n + m is not known
     # (module docstring).
     known_to = math.inf if max(ts.rees_level(x), m) <= verify_to else verify_to
-    part = ts.annihilator_colon(J, x)
-    if c:
-        part = part.intersect(ts.term_plus(J, c))
-    return ts.term_plus(J, verify_to).contains_ideal(part) and all(
+    cut = ts.term_plus(J, c)
+    return _meet_lies_in(ts.annihilator_colon(J, x), cut, ts.term_plus(J, verify_to)) and all(
         _defining_condition_holds(ts, J, x, m, c, n)
         for n in range(c, verify_to + 1)
         if not threshold <= n + m <= known_to
@@ -245,9 +257,8 @@ def _superficial_to(
 
 
 def _colon_identity_holds(ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, n: int) -> bool:
-    lhs = ts.colon(J, n, x)
-    rhs = ts.annihilator_colon(J, x) + ts.term(n - m)
-    return lhs == rhs
+    # (J : x) + T(n - m) is the base of the left child of a splice at level n.
+    return ts.colon(J, n, x) == ts.term_plus(ts.annihilator_colon(J, x), max(n - m, 0))
 
 
 def colon_threshold_for(
@@ -371,9 +382,12 @@ def verify_certificate(
     Both kinds must hold the colon identity at each level from colon_threshold
     to verified_to, and fail it one level below a threshold above 1; a
     superficial certificate must also hold the defining condition at each
-    level from c to verified_to.  No level is derived from the Rees
-    recurrence.  An order below 1, an element that is not a monomial of the
-    ring, and an element acting as zero on the module all fail, and so does
+    level from c to verified_to.  That condition is checked in its
+    containment form, as in the search: ((T(n + m) + J) : x) meet
+    (T(c) + J) lies in T(n) + J, and the reverse containment holds for every
+    x in T(m) and n >= c (module docstring).  No level is derived from the
+    Rees recurrence.  An order below 1, an element that is not a monomial of
+    the ring, and an element acting as zero on the module all fail, and so does
     c outside 0..verified_to - 1: the defining condition at n = c holds for
     every x.  A zero or unit filtration ideal raises ValueError, as in
     find_superficial.

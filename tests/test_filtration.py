@@ -86,7 +86,15 @@ MALFORMED = "step is not a monomial and prime of this ring"
 
 @pytest.mark.parametrize(
     "first",
-    [((1,), MonomialPrime((0,))), ((1, 0, 5), MonomialPrime((0,))), ((1, 0), MonomialPrime((0, 5)))],
+    [
+        ((1,), MonomialPrime((0,))),
+        ((1, 0, 5), MonomialPrime((0,))),
+        ((1, 0), MonomialPrime((0, 5))),
+        ((1, 0), (0,)),  # the prime is a bare support
+        ((1, 0), MonomialPrime((0,)), (0, 0)),  # not a pair
+        ((1, 0),),
+        [(1, 0), MonomialPrime((0,))],  # a list is no step, as it is no witness
+    ],
 )
 def test_validate_rejects_steps_outside_the_ring(kxy, first):
     steps = (first, ((0, 0), MonomialPrime((0,))))

@@ -534,6 +534,28 @@ def test_rees_recurrence_holds_from_the_rees_level(drawn, kind, m, data):
         assert ts.term(k + 1).colon_monomial(x) == I * ts.term(k).colon_monomial(x), (x, k)
 
 
+@given(_IDEAL_PAIRS, _TERM_KINDS, st.integers(1, 3), st.integers(0, 8), st.data())
+@settings(max_examples=120)
+def test_conditions_match_their_equality_forms(drawn, kind, m, n, data):
+    # For x in T(m) and c <= n, T(n) + J lies in ((T(n + m) + J) : x) meet
+    # (T(c) + J), so the defining condition is the reverse containment.  Both
+    # checks agree with the equality of ideals built afresh on a second
+    # system, the colon identity at levels below m included.
+    I, J = _pair(drawn)
+    ts, fresh = kind(I), kind(I)
+    g = data.draw(st.sampled_from(ts.term(m).generators))
+    x = tuple(a + b for a, b in zip(g, data.draw(st.tuples(*[st.integers(0, 2)] * len(g)))))
+    c = data.draw(st.integers(0, n))
+    base = fresh.term(n) + J
+    meet = (fresh.term(n + m) + J).colon_monomial(x).intersect(fresh.term(c) + J)
+    assert meet.contains_ideal(base)
+    assert superficial._defining_condition_holds(ts, J, x, m, c, n) == (meet == base)
+    for k in range(n + m + 1):
+        fresh_sum = J.colon_monomial(x) + fresh.term(k - m)
+        identity = (fresh.term(k) + J).colon_monomial(x) == fresh_sum
+        assert superficial._colon_identity_holds(ts, J, x, m, k) == identity, k
+
+
 def test_rees_level_is_tight(kxy):
     # One level below D(x) the recurrence can fail, so D cannot shrink by one:
     # for I = (x, y), D(x) = 1 and I^1 : x = R is not I * (I^0 : x) = I.

@@ -4,9 +4,12 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``monofilt`` package,
 such as the ``src`` directories of two checkouts.  The command lines are
-every fixed job of the benchmark workloads (``bench/jobs.py``) and their
-seeded jobs for seeds 1..N (default 10), each in the ``json``, ``human`` and
-``csv`` formats.  Each side runs all of them through ``monofilt.cli.main`` in
+every fixed job of the benchmark workloads (``bench/jobs.py``), their seeded
+jobs for seeds 1..N (default 10) and a 3-variable ``closure`` at ``--nmax``
+1 and 3, each in the ``json``, ``human`` and ``csv`` formats; then, in
+``json``, each command with ``--nmax`` and one of ``--window`` and
+``--order-max`` set away from its default, followed by the same command at
+every default.  Each side runs all of them through ``monofilt.cli.main`` in
 one subprocess, with ``PYTHONHASHSEED=0``.  The change side runs them a second
 time in reverse order, in another subprocess, so that output which depends on
 the calls made before it in the same process shows.  The script prints the
@@ -58,14 +61,32 @@ def _load_jobs():
     return module
 
 
+# No benchmark job sets --window or --order-max, or runs closure in three
+# variables.  A set line followed by the same command at the defaults shows a
+# parser that carries a parsed value into a later call.
+_SMALL = "vars: x,y ; ideal: x^2, x*y"
+_THREE_VARIABLES = "vars: w,z,y ; ideal: z^3*w^2, y^5, z^5, w^4*y^2"
+_SET_AWAY = (
+    ("powers", "--window", "2"),
+    ("powers", "--order-max", "1"),
+    ("ass", "--window", "2"),
+    ("superficial", "--order-max", "1"),
+    ("closure", "--window", "2"),
+    ("closure", "--order-max", "1"),
+    ("epsilon", "--order-max", "1"),
+    ("cm", "--order-max", "1"),
+)
+
+
 def command_lines(seeds: int) -> list:
-    """Each job of every workload, fixed ones first, once, in every format."""
+    """Each job of every workload, fixed ones first, once, in every format; then the option pairs."""
     jobs = _load_jobs()
     argvs = []
     for workload in jobs.WORKLOADS:
         argvs += jobs.FIXED[workload]
         for seed in range(1, seeds + 1):
             argvs += jobs.seeded_jobs(workload, seed)
+    argvs += [["closure", "--ideal", _THREE_VARIABLES, "--nmax", n, "--format", "json"] for n in "13"]
     lines = []
     for argv in argvs:
         at = argv.index("--format") + 1
@@ -73,6 +94,9 @@ def command_lines(seeds: int) -> list:
             line = argv[:at] + [fmt] + argv[at + 1 :]
             if line not in lines:
                 lines.append(line)
+    for command, option, value in _SET_AWAY:
+        at_defaults = [command, "--ideal", _SMALL, "--format", "json"]
+        lines += [at_defaults + ["--nmax", "3", option, value], at_defaults]
     return lines
 
 
