@@ -1,9 +1,11 @@
 """Newton polyhedra and integral closures of powers of monomial ideals.
 
 The Newton polyhedron NP(I) is the convex hull of the generator exponents
-plus the nonnegative orthant.  Its facets are computed once per ideal by
-exact rational elimination over generator/ray subsets, and stored with
-integer coefficients.  The integral closure of I^n is the monomial ideal of
+plus the nonnegative orthant.  Its facets are computed once per ideal, in
+integers: the normal of a hyperplane through generators along coordinate
+rays is the vector of signed maximal minors of their d - 1 spanning rows,
+over its gcd.  A generator is a vertex when no other generator lies on every
+facet tight at it.  The integral closure of I^n is the monomial ideal of
 the lattice points of the dilation n * NP(I) (Huneke-Swanson, *Integral
 Closure of Ideals, Rings, and Modules*, 2006, section 1.4).
 
@@ -35,7 +37,6 @@ holds the closures below max(d, 2), the lattice points of their dilations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -49,46 +50,26 @@ from .superficial import TermSystem, check_counts, cofinality_table, terms_of
 _MAX_HULL_VARS = 6
 
 
-def _row_reduce(rows, d: int):
-    """Reduced row echelon form over the rationals, with its pivot columns."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(d):
-        rank = len(pivots)
-        if rank == len(mat):
-            break
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [x / lead for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-    return mat, pivots
+def _det(rows) -> int:
+    """Integer determinant, expanded along the last row, where the rays sit."""
+    if not rows:
+        return 1
+    *head, last = rows
+    return sum(
+        (-1) ** (j + len(head)) * a * _det([r[:j] + r[j + 1 :] for r in head])
+        for j, a in enumerate(last)
+        if a
+    )
 
 
 def _null_vector(rows, d: int) -> "list | None":
-    """Primitive integer spanning vector of the nullspace, when it is a line; never zero."""
-    mat, pivots = _row_reduce(rows, d)
-    if len(pivots) != d - 1:
-        return None
-    free = next(c for c in range(d) if c not in pivots)
-    vec = [Fraction(0)] * d
-    vec[free] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        vec[col] = -mat[row_idx][free]
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    common = 0
-    for v in ints:
-        common = gcd(common, abs(v))
-    return [v // common for v in ints]
+    """Primitive normal of d - 1 rows: their signed maximal minors over the gcd.
+
+    None when every minor is 0, that is when the rows have rank below d - 1.
+    """
+    minors = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)]
+    common = gcd(*minors)
+    return [m // common for m in minors] if common else None
 
 
 @dataclass(frozen=True)
@@ -147,14 +128,18 @@ def _facets(gens, d: int):
     return tuple(sorted(found))
 
 
-def _vertex_set(gens, facets, d: int):
-    vertices = []
-    for v in gens:
-        rows = [coeffs for coeffs, bound in facets if sum(a * b for a, b in zip(coeffs, v)) == bound]
-        rows += [tuple(1 if j == i else 0 for j in range(d)) for i in range(d) if v[i] == 0]
-        if len(_row_reduce(rows, d)[1]) == d:  # full rank
-            vertices.append(v)
-    return tuple(sorted(vertices))
+def _vertex_set(gens, facets):
+    # The facets tight at a generator v cut out the least face F holding v,
+    # and v lies in the relative interior of F.  The polyhedron lies in the
+    # orthant, so it is pointed, and so is F: F has a vertex, which is a
+    # generator.  So v is a vertex exactly when F is {v}, that is when no
+    # other generator lies on every facet tight at v.
+    tight = [
+        {f for f in facets if sum(a * b for a, b in zip(f[0], v)) == f[1]} for v in gens
+    ]
+    return tuple(
+        sorted(v for v, t in zip(gens, tight) if not any(u is not t and t <= u for u in tight))
+    )
 
 
 # Bounded so that a long-lived process does not keep every hull it ever built;
@@ -175,7 +160,7 @@ def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
         ctx=I.ctx,
         generators=gens,
         facets=facets,
-        vertices=_vertex_set(gens, facets, d),
+        vertices=_vertex_set(gens, facets),
     )
 
 

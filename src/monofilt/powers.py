@@ -44,7 +44,6 @@ from .errors import CertificateError
 from .filtration import PrimeFiltration, glue, naive_prime_filtration, validate
 from .ring import Monomial, MonomialIdeal, RingContext, ideal, zero_ideal
 from .superficial import (
-    C_MAX,
     ORDER_MAX,
     CyclicFilteredModule,
     SpliceCertificate,
@@ -108,7 +107,7 @@ class FiltrationEngine:
     ) -> "SuperficialCertificate | SpliceCertificate | None":
         """The certificate splices at J use: superficial if one exists, else a splice one."""
         if J not in self._certs:
-            self._certs[J] = search_certificate(self.ts, J, self.order_max, C_MAX, self.verify_to)
+            self._certs[J] = search_certificate(self.ts, J, self.order_max, self.verify_to)
         return self._certs[J]
 
     def root_certificate(self) -> Optional[SuperficialCertificate]:

@@ -74,7 +74,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ring import Monomial, MonomialIdeal, RingContext, _checked, mono_lcm, unit_ideal
+from .ring import (
+    Monomial,
+    MonomialIdeal,
+    RingContext,
+    _canonical,
+    _checked,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    unit_ideal,
+)
 
 # Largest superficial constant c tried by a certificate search.
 C_MAX = 6
@@ -284,11 +294,20 @@ def colon_threshold_for(
 
 
 def _lies_in_term(ts: TermSystem, x: Monomial, m: int) -> bool:
-    # Every monomial of T(m), a power of I or its closure, has degree at
-    # least m times the least generator degree of I; a lower degree answers
-    # without building T(m), which a huge order would make costly.
-    least = min(sum(g) for g in ts.I.generators)
-    return sum(x) >= m * least and ts.term(m).contains(x)
+    # T(m) = I^(m - b) * T(b) with b = min(m, h) (module docstring), so x
+    # lies in T(m) when some generator of T(b) times m - b generators of I
+    # divides x.  The
+    # partial products that divide x are kept, only the minimal ones, and the
+    # walk stops when none is left: T(m) is never built, and a huge order
+    # costs at most deg(x) + 1 rounds.
+    b = min(m, ts._head - 1)
+    level = [t for t in ts.term(b).generators if mono_divides(t, x)]
+    for _ in range(b, m):
+        products = (mono_mul(p, g) for p in level for g in ts.I.generators)
+        level = _canonical(q for q in products if mono_divides(q, x))
+        if not level:
+            return False
+    return bool(level)
 
 
 def _scan(ts: TermSystem, J: MonomialIdeal, order_max: int):
@@ -304,14 +323,13 @@ def search_certificate(
     ts: TermSystem,
     J: MonomialIdeal,
     order_max: int,
-    c_max: int,
     verify_to: int,
 ) -> "SuperficialCertificate | SpliceCertificate | None":
     """One scan for both certificate kinds: order, then grlex candidates, then c.
 
     A candidate counts only when the colon identity holds on a suffix of
     1..verify_to.  The first such candidate whose defining condition holds
-    for every c <= n <= verify_to, for some c <= c_max, is returned as a
+    for every c <= n <= verify_to, for some c <= C_MAX, is returned as a
     superficial certificate.  The condition at n = c holds for every x, since
     x * (T(c) + J) lies in T(c + m) + J, so c stops below verify_to and every
     certificate rests on a level n > c.  The colon identity is checked level
@@ -332,7 +350,7 @@ def search_certificate(
         threshold = colon_threshold_for(ts, J, x, m, verify_to)
         if threshold is None:
             continue
-        for c in range(0, min(c_max, verify_to - 1) + 1):
+        for c in range(0, min(C_MAX, verify_to - 1) + 1):
             if _superficial_to(ts, J, x, m, c, verify_to, threshold):
                 return SuperficialCertificate(x, m, c, threshold, verify_to)
         if splice is None:
@@ -355,7 +373,7 @@ def find_superficial(
     ts = terms_of(module.filtration_ideal)
     if J.contains_ideal(ts.term(1)):
         raise ValueError("the filtration ideal acts as zero on this module")
-    cert = search_certificate(ts, J, order_max, C_MAX, n_max)
+    cert = search_certificate(ts, J, order_max, n_max)
     return cert if isinstance(cert, SuperficialCertificate) else None
 
 

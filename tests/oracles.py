@@ -388,6 +388,75 @@ def _rank(rows) -> int:
     return rank
 
 
+def _rational_null_vector(rows, d: int):
+    # Primitive integer spanning vector of the nullspace of the rows, by
+    # reduced row echelon form over the rationals; None unless it is a line.
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(d):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    if len(pivots) != d - 1:
+        return None
+    free = next(c for c in range(d) if c not in pivots)
+    vec = [Fraction(0)] * d
+    vec[free] = Fraction(1)
+    for row, col in enumerate(pivots):
+        vec[col] = -mat[row][free]
+    denom = 1
+    for v in vec:
+        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vec]
+    common = 0
+    for v in ints:
+        common = _gcd(common, abs(v))
+    return [v // common for v in ints]
+
+
+def reference_newton_polyhedron(gens, d: int) -> tuple:
+    """(facets, vertices) of conv(gens) + orthant by rational elimination.
+
+    Every hyperplane through k generators along d - k coordinate rays whose
+    k - 1 differences and d - k rays have a one-dimensional nullspace, with a
+    nonnegative normal and every generator on its upper side, is a facet.  A
+    generator is a vertex when its tight facets and the coordinate
+    hyperplanes through it have rank d.
+    """
+    rays = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    found = set()
+    for k in range(1, d + 1):
+        for subset in combinations(gens, k):
+            for ray_subset in combinations(range(d), d - k):
+                rows = [tuple(a - b for a, b in zip(v, subset[0])) for v in subset[1:]]
+                normal = _rational_null_vector(rows + [rays[i] for i in ray_subset], d)
+                if normal is None:
+                    continue
+                if all(v <= 0 for v in normal):
+                    normal = [-v for v in normal]
+                bound = sum(a * b for a, b in zip(normal, subset[0]))
+                if min(normal) >= 0 and all(
+                    sum(a * b for a, b in zip(normal, v)) >= bound for v in gens
+                ):
+                    found.add((tuple(normal), bound))
+    facets = tuple(sorted(found))
+    vertices = []
+    for v in gens:
+        rows = [c for c, bound in facets if sum(a * b for a, b in zip(c, v)) == bound]
+        rows += [rays[i] for i in range(d) if v[i] == 0]
+        if _rank(rows) == d:
+            vertices.append(v)
+    return facets, tuple(sorted(vertices))
+
+
 def _solve_exact(columns, rhs, size):
     # Solve M x = rhs for the square matrix whose columns are given.
     mat = [[Fraction(columns[j][i]) for j in range(size)] + [Fraction(rhs[i])] for i in range(size)]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monofilt import (
     ClosureChain,
@@ -74,6 +74,50 @@ def test_polyhedron_inequalities_are_facets(I):
     assert poly.facets
     for halfspace in poly.facets:
         assert oracles.is_facet(halfspace, I.generators), halfspace
+
+
+def _hull_and_reference(I):
+    poly = newton_polyhedron(I)
+    reference = oracles.reference_newton_polyhedron(I.generators, I.ctx.num_vars)
+    return (poly.facets, poly.vertices), reference
+
+
+@settings(max_examples=200)
+@given(proper_ideals(max_gens=5, max_exp=4))
+def test_polyhedron_matches_the_rational_reference(I):
+    hull, reference = _hull_and_reference(I)
+    assert hull == reference
+
+
+def _wide_ideals(count=12, seed=25):
+    # Seeded ideals in 5 and 6 variables, whose hulls have too many subsets
+    # for a hypothesis run.  Even exponents let each ideal also take the
+    # midpoint of its first two generators, which is never a vertex.
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.choice((5, 6))
+        ctx = context(*[f"t{i}" for i in range(d)])
+        gens = [tuple(2 * rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+        gens.append(tuple((a + b) // 2 for a, b in zip(gens[0], gens[1])))
+        yield ideal(ctx, [g for g in gens if any(g)] or [(1,) * d])
+
+
+@pytest.mark.parametrize("I", list(_wide_ideals()), ids=str)
+def test_wide_polyhedron_matches_the_rational_reference(I):
+    hull, reference = _hull_and_reference(I)
+    assert hull == reference
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, -1, 0), (1, -1, 0)],  # two equal generator differences
+        [(0, 0, 1), (0, 0, 1)],  # a ray repeated
+        [(1, -1, 0, 0), (0, 0, 1, 0), (2, -2, 3, 0)],  # a difference the others span
+    ],
+)
+def test_null_vector_refuses_rank_deficient_rows(rows):
+    assert closure._null_vector(rows, len(rows[0])) is None
 
 
 def test_polyhedron_dimension_limit():

@@ -13,11 +13,16 @@ attribute, or inside a string annotation.
 Each message of the analyses' check policy has one raiser: a zero or unit
 ideal is refused by ``TermSystem`` (and by the CLI, for the ideal it reads),
 and a count below 1 by ``check_counts``.
+
+Importing the command line loads neither ``fractions`` nor ``decimal``.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +82,15 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_no_rational_arithmetic():
+    # The package computes in integers; importing fractions would also load
+    # decimal at the start of every command.
+    probe = "import sys, monofilt.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout.strip() == "[]", done.stderr
 
 
 def test_check_catches_unused_and_bare_noqa():

@@ -171,7 +171,7 @@ def test_root_certificate_is_the_superficial_search():
         I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=4, max_exp=3)
         n_max = rng.randint(1, 4)
         rep = powers_report(I, n_max, "theorem")
-        found = search_certificate(TermSystem(I), zero_ideal(I.ctx), 3, 6, 2 * n_max)
+        found = search_certificate(TermSystem(I), zero_ideal(I.ctx), 3, 2 * n_max)
         assert rep.engine.certificate(zero_ideal(I.ctx)) == found
         expected = found if isinstance(found, SuperficialCertificate) else None
         assert rep.engine.root_certificate() == expected

@@ -1,6 +1,7 @@
 import copy
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -93,8 +94,9 @@ def test_colon_threshold_rejects_order_below_one(kxy):
 @pytest.mark.parametrize("kind", [TermSystem, ClosureChain])
 def test_huge_orders_are_answered_from_degrees(monkeypatch, kxy, kind):
     # Every monomial of T(m) has degree at least 2 * m here, so x of degree 1
-    # lies in no T(m) and T(10**6) is never built; small orders answer as
-    # they did when T(m) was always built.
+    # lies in no T(m): the membership walk stops after one round and
+    # T(10**6) is never built; small orders answer as they did when T(m) was
+    # always built.
     I = parse_ideal("x^2, y^2", kxy)
     asked = []
     term = TermSystem.term
@@ -163,7 +165,7 @@ def test_certificate_monotone_in_c(kxy):
     I = parse_ideal("x^2, x*y", kxy)
     ts = TermSystem(I)
     J = zero_ideal(kxy)
-    cert = search_certificate(ts, J, 3, 6, 12)
+    cert = search_certificate(ts, J, 3, 12)
     for c in range(cert.c, cert.c + 3):
         assert all(
             _defining_condition_holds(ts, J, cert.element, cert.order, c, n)
@@ -176,7 +178,7 @@ def test_inner_module_needs_positive_c(kxy):
     # truncating at c = 1.
     I = parse_ideal("x^2, x*y", kxy)
     ts = TermSystem(I)
-    cert = search_certificate(ts, parse_ideal("x*y", kxy), 3, 6, 12)
+    cert = search_certificate(ts, parse_ideal("x*y", kxy), 3, 12)
     assert cert.element == (2, 0)
     assert cert.c == 1
 
@@ -187,7 +189,7 @@ def test_not_found_is_legitimate(kxy):
     I = parse_ideal("x^4, x*y, y^4", kxy)
     J = parse_ideal("x*y", kxy)
     assert find_superficial(CyclicFilteredModule(J, I), order_max=3, n_max=12) is None
-    assert not isinstance(search_certificate(TermSystem(I), J, 3, 6, 12), SuperficialCertificate)
+    assert not isinstance(search_certificate(TermSystem(I), J, 3, 12), SuperficialCertificate)
 
 
 def test_splice_certificate_where_no_superficial_exists(kxy):
@@ -196,7 +198,7 @@ def test_splice_certificate_where_no_superficial_exists(kxy):
     I = parse_ideal("x^4, x*y, y^4", kxy)
     J = parse_ideal("x*y", kxy)
     ts = TermSystem(I)
-    cert = search_certificate(ts, J, 3, 6, 12)
+    cert = search_certificate(ts, J, 3, 12)
     assert cert == SpliceCertificate(
         element=(4, 0), order=1, colon_threshold=1, verified_to=12
     )
@@ -208,16 +210,17 @@ def test_splice_search_can_fail(kxy):
     # (x^2*y, x*y^2) admits no splice certificate on R itself either, so its
     # sweep still falls back.
     I = parse_ideal("x^2*y, x*y^2", kxy)
-    assert search_certificate(TermSystem(I), zero_ideal(kxy), 3, 6, 12) is None
+    assert search_certificate(TermSystem(I), zero_ideal(kxy), 3, 12) is None
 
 
-def test_not_found_at_root(kxy):
+def test_not_found_at_root(kxy, monkeypatch):
     # (x^2*y, x*y^2) admits no monomial superficial element even on R itself:
     # every candidate colon picks up a point below the degree staircase.
     I = parse_ideal("x^2*y, x*y^2", kxy)
     assert find_superficial(CyclicFilteredModule(zero_ideal(kxy), I), order_max=4, n_max=20) is None
     # nor with a truncation level up to 8, above the search's own C_MAX
-    assert search_certificate(TermSystem(I), zero_ideal(kxy), 4, 8, 20) is None
+    monkeypatch.setattr(superficial, "C_MAX", 8)
+    assert search_certificate(TermSystem(I), zero_ideal(kxy), 4, 20) is None
 
 
 _EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -330,7 +333,7 @@ def test_certificate_search_computes_each_colon_once(monkeypatch, kxy):
         for x in ts.term(m).generators:
             colon_threshold_for(ts, J, x, m, 12)
             assert computed[J, x] == 1, x
-    search_certificate(ts, J, 2, 6, 12)
+    search_certificate(ts, J, 2, 12)
     assert set(computed.values()) == {1}
 
 
@@ -399,7 +402,7 @@ def test_suite_certificates_are_unchanged(suite_reports):
         for annihilator, element, c, splice in rows:
             J = parse_ideal(annihilator, ctx) if annihilator else zero_ideal(ctx)
             ts = TermSystem(I)
-            cert = search_certificate(ts, J, 3, 6, 24)
+            cert = search_certificate(ts, J, 3, 24)
             first_splice = SpliceCertificate(_monomial(splice, ctx), 1, 1, 24)
             if element is None:
                 assert cert == first_splice
@@ -431,9 +434,9 @@ def _pair(drawn):
 @settings(max_examples=200)
 def test_search_matches_the_two_scan_reference(drawn, order_max, c_max, verify_to):
     I, J = _pair(drawn)
-    assert search_certificate(
-        TermSystem(I), J, order_max, c_max, verify_to
-    ) == oracles.reference_certificate_search(I, J, order_max, c_max, verify_to)
+    with mock.patch.object(superficial, "C_MAX", c_max):
+        found = search_certificate(TermSystem(I), J, order_max, verify_to)
+    assert found == oracles.reference_certificate_search(I, J, order_max, c_max, verify_to)
 
 
 @given(_IDEAL_PAIRS, st.integers(1, 3))
@@ -518,6 +521,26 @@ def test_verify_checks_splice_certificates(kxy):
 _TERM_KINDS = st.sampled_from([TermSystem, ClosureChain])
 
 
+def test_membership_of_a_high_order_builds_no_term(kxy):
+    # x^800 lies in T(400) for (x^2, y^2); deciding it walks partial
+    # products, so only the terms the threshold scan reads to n_max 3 exist.
+    ts = TermSystem(parse_ideal("x^2, y^2", kxy))
+    module = CyclicFilteredModule(zero_ideal(kxy), ts)
+    assert colon_threshold(module, (800, 0), 400, 3) == 1
+    assert len(ts._terms) <= 4
+    assert superficial._lies_in_term(ts, (801, 1), 400)
+    assert not superficial._lies_in_term(ts, (801, 1), 401)
+    assert len(ts._terms) <= 4
+
+
+@given(_IDEAL_PAIRS, _TERM_KINDS, st.integers(1, 5), st.data())
+@settings(max_examples=120)
+def test_membership_walk_matches_the_built_term(drawn, kind, m, data):
+    I, _ = _pair(drawn)
+    x = data.draw(st.tuples(*[st.integers(0, 9)] * I.ctx.num_vars))
+    assert superficial._lies_in_term(kind(I), x, m) == kind(I).term(m).contains(x)
+
+
 @given(_IDEAL_PAIRS, _TERM_KINDS, st.integers(0, 3), st.data())
 @settings(max_examples=80)
 def test_rees_recurrence_holds_from_the_rees_level(drawn, kind, m, data):
@@ -594,7 +617,7 @@ def test_search_matches_the_level_by_level_reference():
         kind = (TermSystem, ClosureChain)[cases % 2]
         verify_to, order_max = cases % 15, rng.randint(1, 3)
         ts, reference = kind(I), kind(I)
-        assert search_certificate(ts, J, order_max, C_MAX, verify_to) == (
+        assert search_certificate(ts, J, order_max, verify_to) == (
             oracles.reference_level_by_level_search(reference, J, order_max, C_MAX, verify_to)
         ), (I, J, kind, verify_to)
         for m in range(1, order_max + 1):
@@ -612,7 +635,7 @@ def test_levels_are_derived_only_above_the_colon_threshold(kxyz):
     I, J = parse_ideal("x*z^2, y^2*z^3", kxyz), parse_ideal("x^4*z", kxyz)
     ts = TermSystem(I)
     assert ts.rees_level((0, 2, 3)) == 3
-    cert = search_certificate(ts, J, 2, C_MAX, 8)
+    cert = search_certificate(ts, J, 2, 8)
     assert cert == SuperficialCertificate((0, 2, 3), 1, 2, 4, 8)
     assert cert == oracles.reference_level_by_level_search(TermSystem(I), J, 2, C_MAX, 8)
 
@@ -630,7 +653,7 @@ def test_search_checks_the_full_condition_only_where_the_identity_is_unknown(mon
 
     monkeypatch.setattr(superficial, "_defining_condition_holds", counted)
     ts = TermSystem(parse_ideal("x^4, x*y, y^4", kxy))
-    cert = search_certificate(ts, zero_ideal(kxy), 3, C_MAX, 18)
+    cert = search_certificate(ts, zero_ideal(kxy), 3, 18)
     assert cert == SuperficialCertificate((1, 1), 1, 0, 1, 18)
     assert levels == []
 
@@ -640,4 +663,4 @@ def test_empty_range_gives_no_threshold_and_no_certificate(kxy):
     for kind in (TermSystem, ClosureChain):
         ts = kind(I)
         assert colon_threshold_for(ts, zero_ideal(kxy), (1, 0), 1, n_max=0) is None
-        assert search_certificate(ts, zero_ideal(kxy), 3, C_MAX, verify_to=0) is None
+        assert search_certificate(ts, zero_ideal(kxy), 3, verify_to=0) is None
