@@ -1,19 +1,24 @@
-"""Recursive filtration builder for the powers of an ideal, with analyzers.
+"""Filtration builder for the powers of an ideal, with analyzers.
 
 For each level n the builder produces a prime filtration of R/(T(n) + J) by
 splicing along multiplication by a certified element x of order m: the
 subquotient filtered by ((J : x), n - m) lifts through x, the quotient by x
-recurses at the same n with a larger annihilator, and multiplicities add
+is filtered at the same n with a larger annihilator, and multiplicities add
 exactly.  The element comes from one certificate scan: among the candidates
 whose colon identity (T(n) + J) : x = (J : x) + T(n - m) holds on a suffix of
 the verified range, the first superficial one, and failing that the first one
 as a splice certificate, which verifies only what the splice needs.  Either
 way that identity is rechecked exactly at every use.
 
-The recursion terminates.  x is never in J, so the right branch J + (x)
-strictly enlarges the annihilator at the same level, and a strictly ascending
-chain of monomial ideals is finite; the left branch lowers the level by
-m >= 1.  Three base cases end it: level 0 or a unit base ideal is the zero
+The traversal terminates.  One work stack builds the splice graph below a
+key (J, n), and records a key only after both its children: (J : x, n - m)
+along the left edge and (J + (x), n) along the right.  x is never in J, so a
+right edge strictly enlarges the annihilator at the same level, and a
+strictly ascending chain of monomial ideals is finite; a left edge lowers the
+level by m >= 1.  So every path of edges is finite, no key lies below itself,
+and the keys below (J, n) are finitely many; each is planned once, and
+waits on the stack with its plan until its children are recorded.
+Three kinds of leaf end the paths: level 0 or a unit base ideal is the zero
 module, a level whose term ideal has fallen inside the annihilator repeats
 one fixed filtration forever, and any level the certificates cannot reach
 falls back to the greedy construction and is flagged.
@@ -65,7 +70,7 @@ class FiltrationEngine:
     ``source`` is the filtration ideal I, whose terms are its powers, or a
     term system of I that the engine reads and extends.
 
-    The graph's nodes are the annihilators J the recursion reaches, each
+    The graph's nodes are the annihilators J the traversal reaches, each
     with its certificate (x, m) or None in ``_certs``; a certified node has
     edges to J : x, m levels down, and to J + (x) at the same level.  The
     level table holds one record per (J, n) built: the filtration, whether
@@ -73,6 +78,12 @@ class FiltrationEngine:
     fallback reason or None.  ``_greedy`` keeps the leaf filtrations by
     base.  ``glue_nodes`` and ``fallback_nodes`` are read-only views of the
     level table.
+
+    :meth:`filtration` builds with one work stack, no recursion, and only
+    the levels reachable from the key asked for, in post-order: a splice's
+    left subtree, then its right, then the splice.  :meth:`_plan` decides a
+    level and writes nothing but the certificate memo; :meth:`_record`
+    writes its one record.
     """
 
     def __init__(
@@ -116,19 +127,26 @@ class FiltrationEngine:
 
     def filtration(self, n: int, J: "MonomialIdeal | None" = None):
         """Filtration of R/(T(n) + J) plus a flag for greedy fallbacks in the subtree."""
-        if J is None:
-            J = zero_ideal(self.ctx)
-        if (J, n) not in self._levels:
-            # Levels below first: a left branch with J : x = J then finds its
-            # child built, so the recursion stays shallow at any n.
-            for level in range(n):
-                self._build(J, level)
-        return self._build(J, n)
+        J = zero_ideal(self.ctx) if J is None else J
+        # One work stack builds the graph in post-order.  A key whose
+        # children are not all built goes back on the stack with its plan,
+        # under them, right then left, so the left subtree is built first.
+        stack = [((J, n), None)]
+        while stack:
+            key, plan = stack.pop()
+            if key in self._levels:
+                continue
+            base, splice, reason = plan = plan or self._plan(*key)
+            waiting = splice and [c for c in (splice["right"], splice["left"]) if c not in self._levels]
+            if waiting:
+                stack += [(key, plan)] + [(c, None) for c in waiting]
+            else:
+                self._record(key, base, splice, reason)
+        return self._levels[(J, n)][:2]
 
-    def _build(self, J: MonomialIdeal, n: int):
-        # The one place a level's record is made: a leaf, a fallback, or a splice.
-        if (J, n) in self._levels:
-            return self._levels[(J, n)][:2]
+    def _plan(self, J: MonomialIdeal, n: int):
+        # The one place a level is decided, writing no record: its base, and
+        # a splice to two child keys, a fallback reason, or neither (a leaf).
         base = self.ts.term_plus(J, n)
         splice = reason = None
         if not base.is_unit() and base != J:
@@ -141,17 +159,16 @@ class FiltrationEngine:
                 reason = "colon identity failed on recheck at this level"
             else:
                 x, m = cert.element, cert.order
-                splice = {
-                    "multiplier": x,
-                    "order": m,
-                    "left": (self.ts.annihilator_colon(J, x), max(n - m, 0)),
-                    "right": (J.add_monomial(x), n),
-                }
+                left = (self.ts.annihilator_colon(J, x), max(n - m, 0))
+                splice = {"multiplier": x, "order": m, "left": left, "right": (J.add_monomial(x), n)}
+        return base, splice, reason
+
+    def _record(self, key: tuple, base: MonomialIdeal, splice, reason) -> None:
+        # The one place a level's record is written, after its children's.
         if splice is not None:
-            left, left_fb = self._build(*splice["left"])
-            right, right_fb = self._build(*splice["right"])
-            filtration = glue(base, splice["multiplier"], left, right)
-            fell_back = left_fb or right_fb
+            left, left_fb = self._levels[splice["left"]][:2]
+            right, right_fb = self._levels[splice["right"]][:2]
+            filtration, fell_back = glue(base, splice["multiplier"], left, right), left_fb or right_fb
         elif base.is_unit():
             filtration, fell_back = PrimeFiltration(base, ()), False
         else:
@@ -159,17 +176,17 @@ class FiltrationEngine:
             if base not in self._greedy:
                 self._greedy[base] = naive_prime_filtration(base)
             filtration, fell_back = self._greedy[base], reason is not None
-        self._levels[(J, n)] = (filtration, fell_back, splice, reason)
-        return filtration, fell_back
+        self._levels[key] = (filtration, fell_back, splice, reason)
 
 
 def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
-    """Certified recursive filtration of R/(T(n) + J) for the given module.
+    """Certified spliced filtration of R/(T(n) + J) for the given module.
 
-    T(n) is I^n, or the n-th term of the module's term system.
+    T(n) is I^n, or the n-th term of the module's term system.  A fresh
+    engine builds the splice graph below (J, n) and nothing else; its
+    flag for greedy fallbacks is dropped.
     """
-    filtration, _ = FiltrationEngine(module.filtration_ideal).filtration(n, module.annihilator)
-    return filtration
+    return FiltrationEngine(module.filtration_ideal).filtration(n, module.annihilator)[0]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ the n-th term ideal, ordinarily I^n.  A monomial x in T(m) is superficial of
 order m when, past some index c, colon by x followed by truncation at level c
 recovers the filtration exactly.  Certificates also record the threshold from
 which the plain colon identity (T(n) + J) : x = (J : x) + T(n - m) holds; the
-recursive filtration builder rechecks that identity at every use, so bounded
+filtration engine rechecks that identity at every splice, so bounded
 verification here never weakens a constructed filtration.
 
 Splicing needs only that colon identity, not the defining condition.  One
@@ -342,8 +342,8 @@ def search_certificate(
 
     Candidates in J are skipped, so a splice along x always strictly enlarges
     the annihilator J + (x) of the right branch, and its left branch drops to
-    level n - order with order >= 1; that is what lets the recursive builder
-    terminate.
+    level n - order with order >= 1; that is what makes the engine's
+    traversal of the splice graph terminate.
     """
     splice = None
     for m, x in _scan(ts, J, order_max):

@@ -57,7 +57,8 @@ def test_theorem_level_zero_is_empty(kxy):
 )
 def test_theorem_deep_level_stays_off_the_recursion_limit(kxy, generator, ledger):
     # Each level splices along the generator with J : x = J, so its left
-    # branch is the level below; built bottom-up it is already memoized.
+    # branch is the level below: a chain of 600 splices, which the engine's
+    # work stack holds with no call frame per level.
     M = CyclicFilteredModule(zero_ideal(kxy), parse_ideal(generator, kxy))
     F = theorem_filtration(M, 600)
     assert validate(F)
@@ -71,6 +72,15 @@ def test_theorem_matches_naive_multiplicity(kxy):
     assert validate(F)
     assert {p.support for p in F.primes()} <= {(0,), (0, 1)}
     assert set(associated_primes(I**4)) <= set(F.primes())
+
+
+def assert_ledgers_add(engine):
+    """Each glue node's ledger is the sum of its left and right children's."""
+    for (J, n), node in engine.glue_nodes.items():
+        whole, _ = engine.filtration(n, J)
+        left, _ = engine.filtration(node["left"][1], node["left"][0])
+        right, _ = engine.filtration(node["right"][1], node["right"][0])
+        assert whole.ledger() == left.ledger() + right.ledger()
 
 
 def test_theorem_random_regression():
@@ -94,11 +104,7 @@ def test_theorem_random_regression():
             except InfiniteLengthError:
                 continue
             assert rec.steps == length
-        for (J, n), node in rep.engine.glue_nodes.items():
-            whole, _ = rep.engine.filtration(n, J)
-            left, _ = rep.engine.filtration(node["left"][1], node["left"][0])
-            right, _ = rep.engine.filtration(node["right"][1], node["right"][0])
-            assert whole.ledger() == left.ledger() + right.ledger()
+        assert_ledgers_add(rep.engine)
 
 
 def test_report_principal(kxy):
@@ -197,11 +203,7 @@ def test_glue_recurrence_on_engine(kxy):
     for n in range(1, 9):
         engine.filtration(n)
     assert engine.glue_nodes
-    for (J, n), node in engine.glue_nodes.items():
-        whole, _ = engine.filtration(n, J)
-        left, _ = engine.filtration(node["left"][1], node["left"][0])
-        right, _ = engine.filtration(node["right"][1], node["right"][0])
-        assert whole.ledger() == left.ledger() + right.ledger()
+    assert_ledgers_add(engine)
 
 
 def test_ass_stability_mixed(kxy):
@@ -417,7 +419,7 @@ def test_each_fallback_reason(text, verify_to, n, annihilator, reason):
 
 
 def test_fallback_nodes_come_in_report_order():
-    # The recursion meets this engine's three level-2 fallbacks in an order
+    # The traversal meets this engine's three level-2 fallbacks in an order
     # their generators do not sort in; the view lists them by level, then
     # generators, the order of a report's fallback_nodes.
     _, I = parse_problem("vars: x,y,z ; ideal: x^3, x*z^3, x^2*y^3*z")
@@ -428,3 +430,55 @@ def test_fallback_nodes_come_in_report_order():
     report_order = sorted(built, key=lambda key: (key[1], key[0].generators))
     assert built != report_order
     assert list(engine.fallback_nodes) == report_order
+
+
+class _CountingLevels(dict):
+    """A level table that counts its membership probes."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_sweep_probes_the_level_table_a_bounded_number_of_times(kxy):
+    # A sweep to n builds each level once and reads the levels below it from
+    # the table; walking every lower level on each call would probe it
+    # about n^2 / 2 times, some hundred per level here.
+    engine = FiltrationEngine(parse_ideal("x", kxy), verify_to=800)
+    engine._levels = _CountingLevels()
+    for n in range(1, 401):
+        engine.filtration(n)
+    assert len(engine._levels) == 801
+    assert engine._levels.probes <= 5 * len(engine._levels)
+
+
+def _swept_ideals(curated_ideals):
+    import random
+
+    yield from (I for _, I in curated_ideals.values())
+    rng = random.Random(2611)
+    drawn = 0
+    while drawn < 20:
+        I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=3, max_exp=3)
+        if I.ctx.num_vars >= 2:
+            drawn += 1
+            yield I
+
+
+def test_levels_do_not_depend_on_call_order(curated_ideals):
+    # A level's record depends only on its key: an engine asked for (0, n)
+    # at once builds what a sweep to n builds below that key, no more.
+    n_max = 6
+    for I in _swept_ideals(curated_ideals):
+        swept = FiltrationEngine(I, verify_to=2 * n_max)
+        for n in range(1, n_max + 1):
+            swept.filtration(n)
+        for n in range(1, n_max + 1):
+            fresh = FiltrationEngine(I, verify_to=2 * n_max)
+            fresh.filtration(n)
+            assert fresh._levels.keys() <= swept._levels.keys(), (I, n)
+            for key, record in fresh._levels.items():
+                assert record[:2] == swept._levels[key][:2], (I, key)
+            assert fresh.glue_nodes.items() <= swept.glue_nodes.items(), (I, n)

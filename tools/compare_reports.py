@@ -6,8 +6,9 @@ PARENT_SRC and CHANGE_SRC are directories that hold a ``monofilt`` package,
 such as the ``src`` directories of two checkouts.  The command lines are
 every fixed job of the benchmark workloads (``bench/jobs.py``), their seeded
 jobs for seeds 1..N (default 10), a 3-variable ``closure`` at ``--nmax`` 1
-and 3 and a 4-variable ``closure`` at ``--nmax`` 1 and 2, each in the
-``json``, ``human`` and ``csv`` formats; then, in
+and 3, a 4-variable ``closure`` at ``--nmax`` 1 and 2, and deeper theorem
+``powers`` sweeps, of (x) to ``--nmax`` 300, (x^2, x*y) to 40 and (x^2, y^2,
+z^2, w^2) to 5, each in the ``json``, ``human`` and ``csv`` formats; then, in
 ``json``, each command with ``--nmax`` and one of ``--window`` and
 ``--order-max`` set away from its default, followed by the same command at
 every default.  Each side runs all of them through ``monofilt.cli.main`` in
@@ -62,12 +63,18 @@ def _load_jobs():
     return module
 
 
-# No benchmark job sets --window or --order-max, or runs closure in three or
-# four variables.  A set line followed by the same command at the defaults shows a
-# parser that carries a parsed value into a later call.
+# No benchmark job sets --window or --order-max, runs closure in three or
+# four variables, or sweeps powers past n = 16.  A set line followed by the
+# same command at the defaults shows a parser that carries a parsed value
+# into a later call.
 _SMALL = "vars: x,y ; ideal: x^2, x*y"
 _THREE_VARIABLES = "vars: w,z,y ; ideal: z^3*w^2, y^5, z^5, w^4*y^2"
 _FOUR_VARIABLES = "vars: w,x,y,z ; ideal: w^2*x, x^3, y^2*z, z^2, w*y"
+_DEEP_POWERS = (
+    ("vars: x,y ; ideal: x", "300"),
+    ("vars: x,y ; ideal: x^2, x*y", "40"),
+    ("vars: w,x,y,z ; ideal: x^2, y^2, z^2, w^2", "5"),
+)
 _SET_AWAY = (
     ("powers", "--window", "2"),
     ("powers", "--order-max", "1"),
@@ -90,6 +97,8 @@ def command_lines(seeds: int) -> list:
             argvs += jobs.seeded_jobs(workload, seed)
     argvs += [["closure", "--ideal", _THREE_VARIABLES, "--nmax", n, "--format", "json"] for n in "13"]
     argvs += [["closure", "--ideal", _FOUR_VARIABLES, "--nmax", n, "--format", "json"] for n in "12"]
+    argvs += [["powers", "--mode", "theorem", "--ideal", text, "--nmax", n, "--format", "json"]
+              for text, n in _DEEP_POWERS]
     lines = []
     for argv in argvs:
         at = argv.index("--format") + 1
