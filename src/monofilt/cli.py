@@ -97,10 +97,7 @@ def _load_ideal(args):
     if args.ideal_file:
         with open(args.ideal_file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    ctx, I = parse_problem(text)
-    if I.is_unit() or I.is_zero():
-        raise MonofiltError("the ideal must be proper and nonzero")
-    return ctx, I
+    return parse_problem(text)
 
 
 def _config_echo(args, ctx, I) -> dict:

@@ -59,9 +59,11 @@ def test_syntax_error_exit_code(tmp_path):
     assert code == 1
 
 
-def test_unit_ideal_rejected(tmp_path):
+def test_empty_generator_list_is_a_syntax_error(tmp_path, capsys):
+    # The grammar needs a generator, so no input reads as the zero or unit ideal.
     code, _ = run(tmp_path, "powers", "--ideal", "vars: x,y ; ideal:")
     assert code == 1
+    assert "expected an identifier (at position 18)" in capsys.readouterr().err
 
 
 def test_missing_ideal_flag(tmp_path):

@@ -51,6 +51,13 @@ def test_polyhedron_principal(kxy):
     assert ((1, 0), 1) in poly.facets
     assert poly.contains_point((1, 5))
     assert not poly.contains_point((0, 9))
+    # A point off the positive orthant lies in no dilation, whatever its facets say.
+    assert not poly.contains_point((1, -1))
+
+
+def test_zero_ideal_has_no_polyhedron(kxy):
+    with pytest.raises(ValueError, match="the zero ideal has no Newton polyhedron"):
+        newton_polyhedron(zero_ideal(kxy))
 
 
 def test_polyhedron_skew_facet(kxy):
@@ -320,6 +327,15 @@ def test_noetherian_exponent(kxy):
     closed = integral_closure_power(parse_ideal("x^4, y^3", kxy), result.exponent)
     for n in range(1, 6):
         assert closed**n == integral_closure_power(parse_ideal("x^4, y^3", kxy), result.exponent * n)
+
+
+def test_noetherian_exponent_records_where_each_candidate_failed(kxyz):
+    # closure(I)^2 misses a monomial of closure(I^2), so l = 1 fails at n = 2.
+    I = parse_ideal("x^2, y^3, z^7", kxyz)
+    result = noetherian_exponent(I, 1, 3)
+    assert (result.exponent, result.failures) == (None, ((1, 2),))
+    assert noetherian_exponent(I, 2, 3).exponent == 2
+    assert integral_closure_power(I, 1) ** 2 != oracles.reference_integral_closure_power(I, 2)
 
 
 def test_rees_constant(kxy):

@@ -127,6 +127,22 @@ def test_prime_avoidance_infeasible(kxy):
         prime_avoidance_element(kxy, [MonomialPrime((0,))], [MonomialPrime((0,))])
 
 
+def test_prime_avoidance_cannot_contain_the_zero_prime(kxy):
+    with pytest.raises(InfeasibleError, match="no monomial lies in the zero ideal"):
+        prime_avoidance_element(kxy, [MonomialPrime(())], [])
+
+
+def test_prime_support_is_a_strictly_increasing_tuple():
+    assert MonomialPrime([0, 2]).support == (0, 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MonomialPrime((1, 0))
+
+
+def test_unit_ideal_has_no_associated_primes(kxy):
+    with pytest.raises(DegenerateIdealError, match="R/J is zero for the unit ideal"):
+        associated_primes(unit_ideal(kxy))
+
+
 @st.composite
 def proper_ideals(draw, max_vars=3, max_gens=4, max_exp=3):
     d = draw(st.integers(1, max_vars))

@@ -13,6 +13,7 @@ from monofilt import (
     ideal,
     parse_ideal,
     powers_report,
+    unit_ideal,
 )
 from monofilt.superficial import TermSystem
 
@@ -24,6 +25,11 @@ _NAMES = ("x", "y", "z")
 @pytest.fixture
 def kxy():
     return context("x", "y")
+
+
+def test_h0_of_the_unit_ideal_refused(kxy):
+    with pytest.raises(ValueError, match="R/J is the zero module"):
+        h0_length(unit_ideal(kxy))
 
 
 def test_h0_examples(kxy):

@@ -140,6 +140,15 @@ def test_glue_rejects_wrong_colon(kxy):
         glue(base, (1, 0), left, right)
 
 
+def test_glue_rejects_wrong_right_base(kxy):
+    # (x^2) : x = (x) holds, but the right base must be (x^2) + (x) = (x).
+    base = parse_ideal("x^2", kxy)
+    left = naive_prime_filtration(parse_ideal("x", kxy))
+    right = naive_prime_filtration(parse_ideal("x, y", kxy))
+    with pytest.raises(GluePreconditionError, match="chain ideal plus the multiplier"):
+        glue(base, (1, 0), left, right)
+
+
 def test_glue_additivity(kxy):
     base = parse_ideal("x^2", kxy)
     left = naive_prime_filtration(parse_ideal("x", kxy))

@@ -1,4 +1,4 @@
-"""No input text ends in an uncaught exception: parser and CLI fuzz."""
+"""No input text ends in an uncaught exception or parses to a zero or unit ideal: parser and CLI fuzz."""
 
 import contextlib
 import io
@@ -37,6 +37,17 @@ def test_parse_problem_raises_only_input_errors(text):
         parse_problem(text)
     except (IdealSyntaxError, ValueError):
         pass
+
+
+@given(_inputs)
+def test_parsed_ideals_are_proper_and_nonzero(text):
+    # Every generator names a variable with an exponent of at least 1, and
+    # there is at least one, so the command line needs no check of its own.
+    try:
+        _, I = parse_problem(text)
+    except (IdealSyntaxError, ValueError):
+        return
+    assert not I.is_zero() and not I.is_unit()
 
 
 @given(_inputs)

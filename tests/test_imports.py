@@ -11,8 +11,7 @@ re-exports it or some module of the package loads its name, bare, as an
 attribute, or inside a string annotation.
 
 Each message of the analyses' check policy has one raiser: a zero or unit
-ideal is refused by ``TermSystem`` (and by the CLI, for the ideal it reads),
-and a count below 1 by ``check_counts``.
+ideal is refused by ``TermSystem``, and a count below 1 by ``check_counts``.
 
 Importing the command line loads neither ``fractions`` nor ``decimal``.
 """
@@ -158,10 +157,7 @@ def test_check_catches_dead_helpers():
 
 # Each phrase of the check policy and the (file, function) pairs allowed to raise it.
 _POLICY = {
-    "must be proper and nonzero": (
-        ("cli.py", "_load_ideal"),
-        ("superficial.py", "TermSystem.__init__"),
-    ),
+    "must be proper and nonzero": (("superficial.py", "TermSystem.__init__"),),
     "must be at least 1": (("superficial.py", "check_counts"),),
 }
 

@@ -113,6 +113,9 @@ def test_report_principal(kxy):
     assert [p.support for p in rep.primes_union] == [(0,)]
     exponents = {p.support: e for p, e, _ in rep.growth}
     assert abs(exponents[(0,)] - 1.0) < 1e-9
+    assert rep.ledger_of(8) == Counter({MonomialPrime((0,)): 8})
+    with pytest.raises(KeyError):
+        rep.ledger_of(9)
 
 
 def test_report_maximal(kxy):
@@ -268,6 +271,8 @@ def test_fit_growth_exponent_exact_square():
     assert abs(fit_growth_exponent(points) - 2.0) < 1e-9
     assert fit_growth_exponent(points[:3]) is None
     assert fit_growth_exponent([(n, 0) for n in range(10)]) is None
+    # Four points at one n leave log(n) no spread to fit against.
+    assert fit_growth_exponent([(3, mu) for mu in (1, 2, 3, 4)]) is None
 
 
 def test_report_rejects_degenerate(kxy):

@@ -58,6 +58,49 @@ def test_parse_problem_duplicate_vars():
         parse_problem("vars: x,x ; ideal: x")
 
 
+@pytest.mark.parametrize(
+    "generator, message, position",
+    [
+        ("x^", "expected a positive integer", 19),
+        ("x^0", "exponents must be at least 1", 19),
+        ("x^9223372036854775808", "exponent too large", 19),
+        ("x^9223372036854775807*x", "accumulated exponent too large", 39),
+    ],
+)
+def test_parse_problem_refuses_bad_exponents(generator, message, position):
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_problem(f"vars: x ; ideal: {generator}")
+    assert (err.value.message, err.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((), "a ring needs at least one variable"),
+        (("x", "x"), "variable names must be distinct"),
+        (("x", ""), "variable names must be nonempty"),
+    ],
+    ids=["none", "repeated", "empty"],
+)
+def test_ring_context_refuses_bad_names(names, message):
+    with pytest.raises(ValueError, match=message):
+        ring.RingContext(names)
+
+
+def test_ring_context_and_ideal_take_lists(kxy):
+    assert ring.RingContext(["x", "y"]) == kxy
+    assert ring.MonomialIdeal(kxy, [(1, 0)]) == parse_ideal("x", kxy)
+
+
+def test_negative_power_refused(kxy):
+    with pytest.raises(ValueError, match="nonnegative exponent"):
+        parse_ideal("x", kxy) ** -1
+
+
+def test_zero_ideal_prints_as_zero(kxy):
+    assert str(zero_ideal(kxy)) == "(0)"
+
+
 def test_grlex_order():
     # degree first, then earlier variables dominate: 1 < x < y < x^2 < x*y < y^2
     ordering = sorted([(0, 2), (1, 1), (2, 0), (1, 0), (0, 1), (0, 0)], key=grlex_key)

@@ -259,6 +259,13 @@ def _unit_module(ctx):
 _DEGENERATE = "the filtration ideal must be proper and nonzero"
 
 
+class _Rising(TermSystem):
+    """A term system whose T(2) is the unit ideal, so its terms do not descend."""
+
+    def term(self, n):
+        return unit_ideal(self.ctx) if n == 2 else super().term(n)
+
+
 @pytest.mark.parametrize(
     "request_, message",
     [
@@ -278,6 +285,7 @@ _DEGENERATE = "the filtration ideal must be proper and nonzero"
             _DEGENERATE,
         ),
         (lambda I: colon_threshold(_unit_module(I.ctx), (1, 0), 1, 10), _DEGENERATE),
+        (lambda I: cofinality_table(_Rising(I), 3), "the term ideals are not descending"),
     ],
     ids=[
         "noetherian_exponent",
@@ -288,6 +296,7 @@ _DEGENERATE = "the filtration ideal must be proper and nonzero"
         "engine_verify_to",
         "verify_certificate",
         "colon_threshold",
+        "cofinality_table_rising",
     ],
 )
 def test_requests_that_used_to_pass_unchecked_are_refused(kxy, request_, message):
@@ -315,9 +324,8 @@ def test_cofinality_rejects_zero_action(kxy):
 
 
 def test_certificate_search_computes_each_colon_once(monkeypatch, kxy):
-    # The threshold scan asks for J : x at every level and the defining
-    # condition for (T(n + m) + J) : x at every c; the term system answers
-    # each from one colon per candidate and level.
+    # The threshold scan asks for J : x at every level it checks; the term
+    # system answers each from one colon per candidate.
     computed = Counter()
     colon_monomial = MonomialIdeal.colon_monomial
 
@@ -334,7 +342,16 @@ def test_certificate_search_computes_each_colon_once(monkeypatch, kxy):
             colon_threshold_for(ts, J, x, m, 12)
             assert computed[J, x] == 1, x
     search_certificate(ts, J, 2, 12)
-    assert set(computed.values()) == {1}
+    assert all(computed[J, x] == 1 for _, x in _scan(ts, J, 2))
+
+
+def test_certificate_search_keeps_no_colon_of_a_sum(kxy):
+    # (x^2*y, x*y^2) admits no certificate, so the search tries every
+    # candidate and compares many colons (T(n) + J) : x; each is built where
+    # it is compared, and the term system keeps only the sums and J : x.
+    ts = TermSystem(parse_ideal("x^2*y, x*y^2", kxy))
+    assert search_certificate(ts, zero_ideal(kxy), 3, 24) is None
+    assert {key[0] for key in ts._memo} == {"sum", "annihilator colon"}
 
 
 # Every certificate the engine asks for while sweeping the curated suite to
