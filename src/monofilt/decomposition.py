@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import getitem
 
 from .errors import DegenerateIdealError, InfeasibleError
 from .ring import (
@@ -63,18 +64,22 @@ def colon_prime_support(masks, w: Monomial) -> "tuple | None":
     """Support of (U : w) when that colon is prime, for a point w of the grid.
 
     ``masks`` is a :func:`~monofilt.ring.corner_masks` table on a grid
-    holding w, except that its ``full`` is the mask of the generators of U:
-    the table may hold further bits, such as generators a chain ideal has
-    since dropped, and every row counts only where it meets ``full`` (AND
-    distributes over the ORs below, so the sums are masked, not each row).
-    Returns None when w lies in U or the colon is not prime.  Generator j
-    leaves the residue x_i exactly when i is the only axis where g_j exceeds
-    w and g_j[i] = w_i + 1; those i are the units.  The colon is prime
-    exactly when every residue is divisible by a unit, that is when the OR
-    of the units' ``above`` masks covers ``full``.
+    holding w, except that its ``full`` may be the mask of any generating
+    set of U, minimal or not: the table may hold further bits, and every row
+    counts only where it meets ``full`` (AND distributes over the ORs below,
+    so the sums are masked, not each row).  Returns None when w lies in U or
+    the colon is not prime.  Generator j leaves the residue x_i exactly when
+    i is the only axis where g_j exceeds w and g_j[i] = w_i + 1; those i are
+    the units.  The colon is prime exactly when every residue is divisible
+    by a unit, that is when the OR of the units' ``above`` masks covers
+    ``full``.  A generator that is not minimal is a multiple of one that is,
+    so its residue is a multiple of that one's: it changes neither the units
+    nor whether the OR covers, and the answer is the same for every
+    generating set.
     """
     full, above, exact = masks
-    rows = [col[a] for col, a in zip(above, w)]
+    # map, not a comprehension: Python 3.11 runs each comprehension in its own frame
+    rows = list(map(getitem, above, w))
     once = twice = 0
     for m in rows:
         twice |= once & m
@@ -84,8 +89,8 @@ def colon_prime_support(masks, w: Monomial) -> "tuple | None":
     single = full & ~twice  # generators that exceed w on exactly one axis
     units = []
     covered = 0
-    for i, col in enumerate(exact):
-        if single & col[w[i]]:
+    for i, e in enumerate(map(getitem, exact, w)):
+        if single & e:
             units.append(i)
             covered |= rows[i]
     return tuple(units) if covered & full == full else None

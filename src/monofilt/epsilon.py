@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime
+from .errors import DegenerateIdealError
 from .ring import MonomialIdeal, ideal
 from .superficial import TermSystem, check_counts, terms_of
 
@@ -30,7 +31,7 @@ def h0_length(J: MonomialIdeal) -> int:
     R/J), so B is proper and both colengths are finite.
     """
     if J.is_unit():
-        raise ValueError("R/J is the zero module")
+        raise DegenerateIdealError("R/J is the zero module")
     d = J.ctx.num_vars
     saturated = J.saturation(MonomialPrime(tuple(range(d))).as_ideal(J.ctx))
     if saturated == J:

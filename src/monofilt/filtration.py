@@ -13,7 +13,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem, itemgetter
 
 from .decomposition import (
     MonomialPrime,
@@ -75,11 +75,11 @@ def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
     The witness map is kept up to date, not rescanned.  One walk of the
     corner grid of J (:func:`~monofilt.decomposition._prime_cells`) puts
     every cell with a prime colon on a grlex-sorted queue for its support.
-    The mask table then grows by one bit per witness, with ``alive`` marking
-    the generators of U as in :func:`validate`, and each axis gains the
-    values w_i and w_i - 1.  A queue's head is rechecked before it is read
-    and dropped once its colon has moved: colons only grow as U grows, so a
-    colon that has left P_T never returns to it.
+    The mask table then grows by one bit per witness, ``full`` holds every
+    bit so far, a generating set of U as in :func:`validate`, and each axis
+    gains the values w_i and w_i - 1.  A queue's head is rechecked before
+    it is read and dropped once its colon has moved: colons only grow as U
+    grows, so a colon that has left P_T never returns to it.
 
     Update rule.  Let (U : w) = P_S and U' = U + (w), and call a witness v
     of T *reduced* when no v - e_i, i outside T, is one.  The least witness
@@ -115,13 +115,13 @@ def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
     gens = J.generators
     axes = [list(axis) for axis in corner_axes(gens, d)]
     masks = corner_masks(gens, axes)
-    alive, above, exact = masks
+    full, above, exact = masks
     queues = {}
     for supp, v in _prime_cells(axes, masks):
         queues.setdefault(supp, []).append((grlex_key(v), v))
     for queue in queues.values():
         queue.sort()
-    bit = alive + 1  # the bit of the next witness
+    bit = full + 1  # the bit of the next witness
     primes = {}
     steps = []
     while True:
@@ -138,19 +138,17 @@ def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
         steps.append((w, primes[supp]))
         if not any(w):
             return PrimeFiltration(J, tuple(steps))
-        multiples = alive  # live generators that w divides
         for i, a in enumerate(w):
             if a:
                 _insert_value(axes[i], above[i], exact[i], a - 1)
                 _insert_value(axes[i], above[i], exact[i], a)
-                multiples &= above[i][a - 1]
                 exact[i][a - 1] |= bit
                 row = above[i]
                 for b in axes[i][: bisect_left(axes[i], a)]:
                     row[b] |= bit
-        alive = alive & ~multiples | bit
+        full |= bit
         bit <<= 1
-        masks = (alive, above, exact)
+        masks = (full, above, exact)
         for j, a in enumerate(w):
             if not a:
                 continue
@@ -202,23 +200,30 @@ def validate(filtration: PrimeFiltration) -> ValidationResult:
     """Check every chain invariant exactly; report the first failing step.
 
     One :func:`~monofilt.ring.corner_masks` table over the base generators
-    and every witness, one bit each, decides all steps; the set ``alive``
-    holds the generators of the chain ideal U.  At a step with witness w,
-    ``rows[i]`` holds the generators of U that exceed w on axis i:
+    and every witness, one bit each, decides all steps.  The chain ideal U_k
+    is generated by the base and the witnesses before step k, whose bits
+    form ``prefix``.  That set need not be minimal.  A generator that is not
+    minimal is a multiple of one that is, so it exceeds w on every axis where
+    that one does: it is never the only generator that divides w, or w*x_i,
+    or that exceeds w off the prime's support alone, and each check below
+    gives the same verdict on ``prefix`` as on the minimal generators of
+    U_k.  At a step with witness w, ``rows[i]`` holds the generators that
+    exceed w on axis i:
 
-    * w already lies in U when some generator exceeds it nowhere, that is
-      when the OR of the rows misses part of ``alive``;
-    * (U : w) is larger than the prime when some generator exceeds w off the
-      prime's support only, so the OR of the support's rows misses part of
-      ``alive``;
+    * w already lies in U_k when some generator exceeds it nowhere, that is
+      when the OR of the rows misses part of ``prefix``;
+    * (U_k : w) is larger than the prime when some generator exceeds w off
+      the prime's support only, so the OR of the support's rows misses part
+      of ``prefix``;
     * it is smaller when, for some x_i of the support, no generator exceeds
       w on axis i alone and there by exactly one, which is the only way a
       generator that does not divide w can divide w*x_i.
 
-    Adjoining w then drops its multiples, the generators at least w_i on
-    every axis.  Each step costs O(d) integer operations.  Verdicts keep the
-    order "already lies", "larger", "smaller"; a step that is not a monomial
-    and prime of the ring is reported only once every step before it passes.
+    The chain ends at the unit ideal exactly when the unit monomial is among
+    the generators.  Each step costs O(d) integer operations.  Verdicts keep
+    the order "already lies", "larger", "smaller"; a step that is not a
+    monomial and prime of the ring is reported only once every step before
+    it passes.
     """
     ctx = filtration.base.ctx
     d = ctx.num_vars
@@ -228,37 +233,32 @@ def validate(filtration: PrimeFiltration) -> ValidationResult:
         steps = steps[:malformed]
     base = filtration.base.generators
     gens = base + tuple(w for w, _ in steps)
-    full, above, exact = corner_masks(gens, corner_axes(gens, d))
-    alive = (1 << len(base)) - 1
-    bit = alive + 1  # the bit of the current step's witness
+    _, above, exact = corner_masks(gens, corner_axes(gens, d))
+    prefix = (1 << len(base)) - 1  # the base and the witnesses before step k
     for k, (w, prime) in enumerate(steps):
-        rows = [col[a] & alive for col, a in zip(above, w)]
+        # map, not a comprehension: Python 3.11 runs each comprehension in its own frame
+        rows = list(map(getitem, above, w))
         once = twice = 0
         for m in rows:
             twice |= once & m
             once |= m
-        if once != alive:
+        if once & prefix != prefix:
             return ValidationResult(False, k, "witness already lies in the chain ideal")
         support = prime.support
         reached = 0
         for i in support:
             reached |= rows[i]
-        if reached != alive:
+        if reached & prefix != prefix:
             # For the zero prime this fires whenever the chain ideal is nonzero.
             return ValidationResult(False, k, "colon is larger than the claimed prime")
-        single = alive & ~twice
+        single = prefix & ~twice
         for i in support:
             if not exact[i][w[i]] & single:
                 return ValidationResult(False, k, "colon is smaller than the claimed prime")
-        multiples = full
-        for col, a in zip(above, w):
-            if a:
-                multiples &= col[a - 1]
-        alive = alive & ~multiples | bit
-        bit <<= 1
+        prefix = prefix << 1 | 1
     if malformed is not None:
         return ValidationResult(False, malformed, "step is not a monomial and prime of this ring")
-    if alive.bit_count() != 1 or gens[alive.bit_length() - 1] != ctx.unit_monomial():
+    if ctx.unit_monomial() not in gens:
         return ValidationResult(False, None, "final ideal in the chain is not the unit ideal")
     return ValidationResult(True)
 

@@ -24,7 +24,7 @@ from monofilt import (
 )
 from monofilt import decomposition
 from monofilt.decomposition import _witness_for, colon_prime_support
-from monofilt.ring import corner_axes, corner_masks
+from monofilt.ring import corner_axes, corner_masks, mono_mul
 
 import oracles
 
@@ -230,8 +230,8 @@ def test_mask_kernel_matches_residues_on_the_grid(J):
 
 @given(any_ideals(), st.integers(0, 2**6 - 1))
 def test_mask_kernel_reads_only_the_live_generators(J, live):
-    # A table over more generators than U holds, as the greedy filtration
-    # keeps it, answers for U when ``full`` is U's mask of live generators.
+    # A table over more generators than U holds answers for U when ``full``
+    # is the mask of U's generators.
     gens, d = J.generators, J.ctx.num_vars
     axes = corner_axes(gens, d)
     full, above, exact = corner_masks(gens, axes)
@@ -240,6 +240,27 @@ def test_mask_kernel_reads_only_the_live_generators(J, live):
     for w in product(*axes):
         expected = oracles.reference_colon_prime_support(alive, w)
         assert colon_prime_support((live, above, exact), w) == expected, (alive, w)
+
+
+@given(any_ideals(), st.data())
+def test_mask_kernel_reads_any_generating_set(J, data):
+    # The greedy filtration and validate keep a bit for every generator
+    # adjoined so far, minimal or not: ``full`` set to all of them must
+    # answer as ``full`` set to the minimal ones does, on every cell.
+    gens, d = J.generators, J.ctx.num_vars
+    table = list(gens)
+    if gens:
+        shift = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+        for j, e in data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), shift), max_size=5)):
+            table.append(mono_mul(gens[j], tuple(e)))
+    table = data.draw(st.permutations(table))
+    axes = corner_axes(table, d)
+    full, above, exact = corner_masks(table, axes)
+    minimal = sum(1 << table.index(g) for g in gens)
+    for w in product(*axes):
+        answer = colon_prime_support((full, above, exact), w)
+        assert answer == colon_prime_support((minimal, above, exact), w), (table, w)
+        assert answer == oracles.reference_colon_prime_support(gens, w), (table, w)
 
 
 def test_mask_kernel_degenerate_and_huge(kxy, kxyz):

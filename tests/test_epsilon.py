@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from monofilt import (
     ClosureChain,
+    DegenerateIdealError,
     MonomialPrime,
     associated_primes,
     closure_powers_report,
@@ -28,8 +29,9 @@ def kxy():
 
 
 def test_h0_of_the_unit_ideal_refused(kxy):
-    with pytest.raises(ValueError, match="R/J is the zero module"):
+    with pytest.raises(DegenerateIdealError, match="R/J is the zero module") as refused:
         h0_length(unit_ideal(kxy))
+    assert type(refused.value) is DegenerateIdealError
 
 
 def test_h0_examples(kxy):

@@ -278,13 +278,16 @@ def _well_formed(step, d):
     return len(w) == d and min(w) >= 0 and all(0 <= i < d for i in prime.support)
 
 
-def _mutants(F, rng):
-    """One mutant of F per kind: swap, drop, duplicate, new support, witness exponent +-1."""
+def _mutants(F, rng, after=0):
+    """One mutant of F per kind: swap, drop, duplicate, new support, witness exponent +-1.
+
+    Every mutated step lies at index ``after`` or later.
+    """
     steps = list(F.steps)
     d = F.base.ctx.num_vars
     if not steps:
         return [F]
-    i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+    i, j = rng.randrange(after, len(steps)), rng.randrange(after, len(steps))
     swapped = list(steps)
     swapped[i], swapped[j] = swapped[j], swapped[i]
     w, prime = steps[i]
@@ -379,3 +382,29 @@ def test_validate_agrees_with_reference_on_deep_mutants():
     verdict = validate(M)
     assert (verdict.ok, verdict.step, verdict.reason) == _expected(M)
     assert (verdict.step, verdict.reason) == (10, "witness already lies in the chain ideal")
+
+
+def test_validate_agrees_with_reference_on_the_longest_bench_chain(kxy):
+    # (x^3, y^3) at n = 16 is the longest chain the benchmark validates.
+    # Mutants past step 1,000 are judged against a chain ideal whose
+    # generating set holds about a thousand earlier witnesses, most of them
+    # no longer minimal.
+    F = powers_report(parse_ideal("x^3, y^3", kxy), 16, "theorem").filtrations[16]
+    steps = list(F.steps)
+    assert len(steps) == 1224 and validate(F)
+    rng = random.Random(16)
+    mutants = [PrimeFiltration(F.base, tuple(steps[:-1]))]
+    for _ in range(3):
+        mutants += _mutants(F, rng, after=1001)[1:]
+    reasons = Counter()
+    for M in mutants:
+        verdict = validate(M)
+        assert (verdict.ok, verdict.step, verdict.reason) == _expected(M)
+        assert verdict.step is None or verdict.step > 1000
+        reasons[verdict.reason] += 1
+    assert {
+        "witness already lies in the chain ideal",
+        "colon is larger than the claimed prime",
+        "colon is smaller than the claimed prime",
+        "final ideal in the chain is not the unit ideal",
+    } <= set(reasons)

@@ -8,9 +8,10 @@ every fixed job of the benchmark workloads (``bench/jobs.py``), their seeded
 jobs for seeds 1..N (default 10), a 3-variable ``closure`` at ``--nmax`` 1
 and 3, a 4-variable ``closure`` at ``--nmax`` 1 and 2, and deeper theorem
 ``powers`` sweeps, of (x) to ``--nmax`` 300, (x^2, x*y) to 40, (x^2, y^2,
-z^2, w^2) to 5 and the 3-variable ideal of ``closure`` to 6, where the
-certificate search asks for the most colons, each in the ``json``, ``human``
-and ``csv`` formats; then, in
+z^2, w^2) to 5, the 3-variable ideal of ``closure`` to 6, where the
+certificate search asks for the most colons, and (x^3, y^3) to 24, whose
+witness chains are the longest that ``validate`` reads, each in the
+``json``, ``human`` and ``csv`` formats; then, in
 ``json``, each command with ``--nmax`` and one of ``--window`` and
 ``--order-max`` set away from its default, followed by the same command at
 every default.  Each side runs all of them through ``monofilt.cli.main`` in
@@ -77,6 +78,7 @@ _DEEP_POWERS = (
     ("vars: x,y ; ideal: x^2, x*y", "40"),
     ("vars: w,x,y,z ; ideal: x^2, y^2, z^2, w^2", "5"),
     (_THREE_VARIABLES, "6"),
+    ("vars: x,y ; ideal: x^3, y^3", "24"),
 )
 _SET_AWAY = (
     ("powers", "--window", "2"),
