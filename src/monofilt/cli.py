@@ -297,7 +297,7 @@ def cmd_epsilon(args, ctx, I):
     terms = TermSystem(I)
     estimate = epsilon_estimate(terms, args.nmax)
     check_to = min(args.nmax, 12)
-    report = powers_report(terms, check_to, "theorem", order_max=args.order_max)
+    report = powers_report(terms, check_to, "theorem", order_max=args.order_max, analyze=False)
     bound = filtration_bound_check(terms, check_to, report)
     body = estimate.to_document()
     body["bound_check"] = [
@@ -326,7 +326,7 @@ def cmd_epsilon(args, ctx, I):
 
 
 def cmd_cm(args, ctx, I):
-    report = powers_report(I, args.nmax, "theorem", order_max=args.order_max)
+    report = powers_report(I, args.nmax, "theorem", order_max=args.order_max, analyze=False)
     cert = cm_certificate(I, report.filtrations)
     body = {
         "element": ctx.monomial_str(cert.element),

@@ -31,6 +31,7 @@ from .ring import (
     grlex_key,
     mono_mul,
     mono_support,
+    unit_ideal,
 )
 
 
@@ -319,9 +320,16 @@ def cm_certificate(I: MonomialIdeal, filtrations: dict) -> CmCertificate:
     other prime factor accumulated across the powers, so after inverting f
     only factors R/P with P in Minh(I) survive; those quotients are
     polynomial rings of the full quotient dimension, which settles depth.
-    Returns f = 1 untouched when nothing needs to be avoided.
+    Returns f = 1 untouched when nothing needs to be avoided.  Raises
+    ValueError when a filtration's base is not the power of I at its level.
     """
     ctx = I.ctx
+    power, k = unit_ideal(ctx), 0
+    for n in sorted(filtrations):
+        while k < n:
+            power, k = power * I, k + 1
+        if filtrations[n].base != power:
+            raise ValueError(f"the filtrations do not filter R/I^{n}")
     top = set(minh(I))
     dim_quotient = ctx.num_vars - min(p.codim() for p in top)
     extras = set()

@@ -193,10 +193,10 @@ def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
 @dataclass(frozen=True)
 class PowerRecord:
     n: int
-    digest: str
+    digest: Optional[str]  # None when the sweep ran without analyzers
     primes: tuple
     ledger: tuple  # sorted tuple of (MonomialPrime, multiplicity)
-    ass: tuple
+    ass: Optional[tuple]  # None when the sweep ran without analyzers
     fallback: bool
     steps: int
 
@@ -224,6 +224,8 @@ class PowersReport:
         raise KeyError(n)
 
     def to_document(self) -> dict:
+        if any(r.digest is None for r in self.records):
+            raise ValueError("a report swept without analyzers has no digests or Ass to print")
         ctx = self.ctx
         return {
             "ideal": self.ideal.generator_strings(),
@@ -343,6 +345,7 @@ def powers_report(
     *,
     window: int = WINDOW,
     order_max: int = ORDER_MAX,
+    analyze: bool = True,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
 
@@ -350,6 +353,13 @@ def powers_report(
     whose level n is its term T(n); sweeps given one system share its terms.
     Raises :class:`CertificateError` if any emitted filtration fails
     re-validation, which pipelines surface as exit code 2.
+
+    With ``analyze=False`` each record's ``ass`` and ``digest`` stay None:
+    the per-level associated primes and filtration digests are not computed,
+    and :meth:`PowersReport.to_document` refuses the report.  Everything
+    else, from the validation of every level to the growth fit, is built as
+    with the default.  ``epsilon`` and ``cm`` pass it, since they read only
+    the filtrations and ledgers.
     """
     if mode not in ("naive", "theorem"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -375,14 +385,13 @@ def powers_report(
             raise CertificateError(
                 f"filtration of level {n} failed validation at step {verdict.step}: {verdict.reason}"
             )
-        ass = tuple(ts.memo(associated_primes, n))
         ledger = tuple(sorted(filtration.ledger().items()))
         record = PowerRecord(
             n=n,
-            digest=filtration_digest(filtration, witness_text),
+            digest=filtration_digest(filtration, witness_text) if analyze else None,
             primes=tuple(p for p, _ in ledger),
             ledger=ledger,
-            ass=ass,
+            ass=tuple(ts.memo(associated_primes, n)) if analyze else None,
             fallback=fell_back,
             steps=len(filtration.steps),
         )

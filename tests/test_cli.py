@@ -142,14 +142,22 @@ def test_cm_command(tmp_path):
     assert doc["report"]["all_pass"]
 
 
-def test_certificate_failure_exit_code(tmp_path, monkeypatch):
+def test_certificate_failure_exit_code(tmp_path, monkeypatch, capsys):
     import monofilt.powers as powers_module
 
     monkeypatch.setattr(
         powers_module, "validate", lambda f: ValidationResult(False, 0, "forced")
     )
-    code, _ = run(tmp_path, "powers", "--ideal", IDEAL, "--nmax", "2")
-    assert code == 2
+    for argv in (
+        ("powers",),
+        ("powers", "--mode", "naive"),
+        ("closure",),
+        ("epsilon",),
+        ("cm",),
+    ):
+        code, _ = run(tmp_path, *argv, "--ideal", IDEAL, "--nmax", "2")
+        assert code == 2, argv
+        assert "certificate failure" in capsys.readouterr().err, argv
 
 
 def test_jobs_env_default(tmp_path, monkeypatch):
@@ -416,6 +424,17 @@ def test_powers_both_modes_compute_ass_once_per_level(tmp_path, monkeypatch):
     code, _ = run(tmp_path, *args)
     assert code == 0
     assert len(calls) == len(set(calls)) == 6
+
+
+def test_epsilon_and_cm_skip_the_per_level_analyzers(tmp_path, monkeypatch):
+    # Neither report shows Ass or digests, so neither sweep computes them.
+    calls = []
+    for name in ("associated_primes", "filtration_digest"):
+        monkeypatch.setattr(powers, name, lambda *a, name=name: calls.append(name))
+    for argv in (("epsilon", "--nmax", "14"), ("cm", "--nmax", "6")):
+        code, _ = run(tmp_path, *argv, "--ideal", IDEAL)
+        assert code == 0, argv
+    assert calls == []
 
 
 def test_epsilon_computes_each_torsion_length_once(tmp_path, monkeypatch):

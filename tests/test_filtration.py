@@ -9,6 +9,7 @@ from monofilt import (
     MonomialPrime,
     PrimeFiltration,
     associated_primes,
+    closure_powers_report,
     cm_certificate,
     context,
     glue,
@@ -181,6 +182,20 @@ def test_cm_certificate_artinian(kxy):
     cert = cm_certificate(I, report.filtrations)
     assert cert.element == (0, 0)
     assert cert.all_pass()
+
+
+def test_cm_certificate_rejects_filtrations_of_other_modules(kxy):
+    I = parse_ideal("x^3, y^3", kxy)
+    # closure(I^n) is not I^n: its colengths 6, 21 and 45 are not those of R/I^n.
+    with pytest.raises(ValueError, match=r"do not filter R/I\^1$"):
+        cm_certificate(I, closure_powers_report(I, 3).filtrations)
+    with pytest.raises(ValueError, match=r"do not filter R/I\^1$"):
+        cm_certificate(I, powers_report(parse_ideal("x*y", kxy), 2).filtrations)
+    # Levels need not be consecutive; each is checked against its own power.
+    powers = powers_report(I, 4, "theorem").filtrations
+    assert cm_certificate(I, {2: powers[2], 4: powers[4]}).all_pass()
+    with pytest.raises(ValueError, match=r"do not filter R/I\^4$"):
+        cm_certificate(I, {2: powers[2], 4: powers[3]})
 
 
 @st.composite

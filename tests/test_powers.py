@@ -487,3 +487,29 @@ def test_levels_do_not_depend_on_call_order(curated_ideals):
             for key, record in fresh._levels.items():
                 assert record[:2] == swept._levels[key][:2], (I, key)
             assert fresh.glue_nodes.items() <= swept.glue_nodes.items(), (I, n)
+
+
+def test_report_without_analyzers_matches_default():
+    # analyze=False drops only the per-level Ass and digests.
+    import random
+
+    rng = random.Random(7213)
+    drawn = 0
+    while drawn < 12:
+        I = oracles.random_proper_ideal(rng, max_vars=3, max_gens=3, max_exp=3)
+        if I.ctx.num_vars < 2:
+            continue
+        drawn += 1
+        for mode in ("naive", "theorem"):
+            full = powers_report(I, 4, mode)
+            bare = powers_report(I, 4, mode, analyze=False)
+            for a, b in zip(full.records, bare.records, strict=True):
+                assert (b.n, b.primes, b.ledger, b.fallback, b.steps) == (
+                    a.n, a.primes, a.ledger, a.fallback, a.steps
+                ), (I, mode)
+                assert b.digest is None and b.ass is None
+                assert bare.filtrations[b.n] == full.filtrations[a.n]
+            for field in ("primes_union", "stabilization", "growth", "superficial", "fallback_nodes"):
+                assert getattr(bare, field) == getattr(full, field), (I, mode, field)
+            with pytest.raises(ValueError):
+                bare.to_document()
