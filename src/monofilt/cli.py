@@ -59,17 +59,6 @@ _OPTIONS = {
     "--order-max": dict(type=int, default=ORDER_MAX, help="largest superficial order to try"),
 }
 
-# Each command: its --nmax default, its help, and the options its handler reads.
-_COMMANDS = {
-    "powers": (8, "prime filtrations of R/I^n with analyzers", ("--mode", "--window", "--order-max")),
-    "ass": (10, "associated primes of R/I^n per power", ("--window",)),
-    "superficial": (24, "search for a certified superficial element", ("--order-max",)),
-    "closure": (8, "Newton polyhedron and integral closures of powers", ("--window", "--order-max")),
-    "epsilon": (20, "torsion lengths and the epsilon-multiplicity estimate", ("--order-max",)),
-    "cm": (6, "localization certificate for Cohen-Macaulay powers", ("--order-max",)),
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="monofilt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"monofilt {__version__}")
@@ -82,7 +71,7 @@ def build_parser() -> _Parser:
     io_flags.add_argument("--format", choices=_FORMATS, default="human")
     io_flags.add_argument("--jobs", type=int, default=None,
                           help="accepted for compatibility and ignored; commands run serially")
-    for name, (nmax_default, help_text, options) in _COMMANDS.items():
+    for name, (nmax_default, help_text, options, _) in _COMMANDS.items():
         sub = commands.add_parser(name, parents=[io_flags], help=help_text)
         sub.add_argument("--nmax", type=int, default=nmax_default, help="largest power to sweep")
         for option in options:
@@ -326,8 +315,10 @@ def cmd_epsilon(args, ctx, I):
 
 
 def cmd_cm(args, ctx, I):
-    report = powers_report(I, args.nmax, "theorem", order_max=args.order_max, analyze=False)
-    cert = cm_certificate(I, report.filtrations)
+    # one term system: the certificate checks each base against the powers of the sweep
+    terms = TermSystem(I)
+    report = powers_report(terms, args.nmax, "theorem", order_max=args.order_max, analyze=False)
+    cert = cm_certificate(terms, report.filtrations)
     body = {
         "element": ctx.monomial_str(cert.element),
         "minh": [p.names(ctx) for p in cert.minh_primes],
@@ -362,13 +353,17 @@ def cmd_cm(args, ctx, I):
     return body, table, human
 
 
-_HANDLERS = {
-    "powers": cmd_powers,
-    "ass": cmd_ass,
-    "superficial": cmd_superficial,
-    "closure": cmd_closure,
-    "epsilon": cmd_epsilon,
-    "cm": cmd_cm,
+# Each command: its --nmax default, its help, the options its handler reads, and the handler.
+_COMMANDS = {
+    "powers": (8, "prime filtrations of R/I^n with analyzers",
+               ("--mode", "--window", "--order-max"), cmd_powers),
+    "ass": (10, "associated primes of R/I^n per power", ("--window",), cmd_ass),
+    "superficial": (24, "search for a certified superficial element", ("--order-max",), cmd_superficial),
+    "closure": (8, "Newton polyhedron and integral closures of powers",
+                ("--window", "--order-max"), cmd_closure),
+    "epsilon": (20, "torsion lengths and the epsilon-multiplicity estimate",
+                ("--order-max",), cmd_epsilon),
+    "cm": (6, "localization certificate for Cohen-Macaulay powers", ("--order-max",), cmd_cm),
 }
 
 
@@ -391,7 +386,7 @@ def main(argv=None) -> int:
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 1
     try:
-        return _run(_HANDLERS[args.command], args)
+        return _run(_COMMANDS[args.command][-1], args)
     except CertificateError as err:
         print(f"monofilt: certificate failure: {err}", file=sys.stderr)
         return 2

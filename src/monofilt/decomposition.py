@@ -175,14 +175,19 @@ def _witness_for(gens, d: int) -> dict:
     return found
 
 
+def check_nonzero_module(J: MonomialIdeal) -> None:
+    """Raise DegenerateIdealError when J is the unit ideal, so that R/J is the zero module."""
+    if J.is_unit():
+        raise DegenerateIdealError("R/J is the zero module")
+
+
 def associated_primes(J: MonomialIdeal) -> dict:
     """Associated primes of R/J with witness monomials, as a prime -> witness map.
 
     The primes are the prime colons (J : w), sorted by support; each witness
     is the grlex-least w with (J : w) = P exactly.
     """
-    if J.is_unit():
-        raise DegenerateIdealError("R/J is zero for the unit ideal")
+    check_nonzero_module(J)
     found = _witness_for(J.generators, J.ctx.num_vars)
     return {MonomialPrime(s): found[s] for s in sorted(found)}
 

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
-from .decomposition import MonomialPrime
-from .errors import DegenerateIdealError
+from .decomposition import MonomialPrime, check_nonzero_module
 from .ring import MonomialIdeal, ideal
-from .superficial import TermSystem, check_counts, terms_of
+from .superficial import TermSystem, check_counts, check_filters_powers, powers_of
 
 
 def h0_length(J: MonomialIdeal) -> int:
@@ -30,8 +29,7 @@ def h0_length(J: MonomialIdeal) -> int:
     variable occurs in J (a variable absent from J is a nonzerodivisor on
     R/J), so B is proper and both colengths are finite.
     """
-    if J.is_unit():
-        raise DegenerateIdealError("R/J is the zero module")
+    check_nonzero_module(J)
     d = J.ctx.num_vars
     saturated = J.saturation(MonomialPrime(tuple(range(d))).as_ideal(J.ctx))
     if saturated == J:
@@ -64,14 +62,6 @@ class EpsilonEstimate:
         }
 
 
-def _powers_of(source: "MonomialIdeal | TermSystem") -> TermSystem:
-    # Torsion lengths are taken of R/I^n, so only the ordinary powers will do.
-    ts = terms_of(source)
-    if type(ts) is not TermSystem:
-        raise ValueError(f"torsion lengths need the powers of I, not a {type(ts).__name__}")
-    return ts
-
-
 def epsilon_estimate(source: "MonomialIdeal | TermSystem", n_max: int) -> EpsilonEstimate:
     """Torsion lengths of R/I^n for n up to n_max and the limsup proxy.
 
@@ -81,7 +71,7 @@ def epsilon_estimate(source: "MonomialIdeal | TermSystem", n_max: int) -> Epsilo
     term system of its powers, which keeps the lengths for a later
     :func:`filtration_bound_check` given the same system.
     """
-    ts = _powers_of(source)
+    ts = powers_of(source)
     I = ts.I
     check_counts(n_max=n_max)
     d = I.ctx.num_vars
@@ -114,23 +104,26 @@ def filtration_bound_check(source: "MonomialIdeal | TermSystem", n_max: int, rep
 
     For a monomial prime P the torsion of R/P has length 1 when P is the
     maximal ideal and 0 otherwise, so the filtration's semi-additivity bound
-    collapses to the maximal-ideal multiplicity.  ``report`` must be a powers
-    report filtering R/I^n for n up to n_max; a closure sweep has the same
-    ideal but filters other modules.  ``source`` is I or a term system of
-    its powers, which supplies any lengths it already holds.
+    collapses to the maximal-ideal multiplicity.  ``source`` is I or a term
+    system of its powers, which supplies the powers and any lengths it
+    already holds; :func:`~monofilt.superficial.powers_of` refuses any other
+    term system.  ``report`` must be a powers report of I filtering R/I^n for
+    n up to n_max, checked level by level against the system's I^n by
+    :func:`~monofilt.superficial.check_filters_powers`, the check
+    :func:`~monofilt.filtration.cm_certificate` shares; a closure sweep has
+    the same ideal but filters other modules.
     """
-    ts = _powers_of(source)
+    ts = powers_of(source)
     I = ts.I
     check_counts(n_max=n_max)
     if report.ideal != I:
         raise ValueError("the report covers a different ideal")
     if report.n_max < n_max:
         raise ValueError("the report does not cover the requested range")
+    check_filters_powers(ts, report.filtrations, range(1, n_max + 1))
     maximal = MonomialPrime(tuple(range(I.ctx.num_vars)))
     rows = []
     for n in range(1, n_max + 1):
-        if report.filtrations[n].base != ts.term(n):
-            raise ValueError(f"the report does not filter R/I^{n}")
         length = ts.memo(h0_length, n)
         mu = report.ledger_of(n).get(maximal, 0)
         rows.append(BoundCheckRow(n, length, mu, length <= mu))

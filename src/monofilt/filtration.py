@@ -31,8 +31,8 @@ from .ring import (
     grlex_key,
     mono_mul,
     mono_support,
-    unit_ideal,
 )
+from .superficial import TermSystem, check_filters_powers, powers_of
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,8 @@ def naive_prime_filtration(J: MonomialIdeal) -> PrimeFiltration:
             for i in supp:
                 choices[i] = (w[i],)
             choices[j] = (a - 1,)
+            # Walked with _prime_cells(choices, masks) instead, greedy-ass's job list
+            # ran slower in 8 of 8 rounds, its best time +10 %.
             for v in product(*choices):
                 found = colon_prime_support(masks, v)
                 if found is not None:
@@ -237,7 +239,9 @@ def validate(filtration: PrimeFiltration) -> ValidationResult:
     _, above, exact = corner_masks(gens, corner_axes(gens, d))
     prefix = (1 << len(base)) - 1  # the base and the witnesses before step k
     for k, (w, prime) in enumerate(steps):
-        # map, not a comprehension: Python 3.11 runs each comprehension in its own frame
+        # map, not a comprehension: Python 3.11 runs each comprehension in its own frame.
+        # Deciding each step with colon_prime_support((prefix, above, exact), w) instead,
+        # theorem-sweep's job list ran slower in 7 of 8 rounds, its best time +11 %.
         rows = list(map(getitem, above, w))
         once = twice = 0
         for m in rows:
@@ -312,7 +316,7 @@ class CmCertificate:
         return all(ok for _, _, ok in self.per_n)
 
 
-def cm_certificate(I: MonomialIdeal, filtrations: dict) -> CmCertificate:
+def cm_certificate(source: "MonomialIdeal | TermSystem", filtrations: dict) -> CmCertificate:
     """Certify Cohen-Macaulayness of all R_f/I^n R_f from the given filtrations.
 
     ``filtrations`` maps each power n to a prime filtration of R/I^n.  The
@@ -320,16 +324,18 @@ def cm_certificate(I: MonomialIdeal, filtrations: dict) -> CmCertificate:
     other prime factor accumulated across the powers, so after inverting f
     only factors R/P with P in Minh(I) survive; those quotients are
     polynomial rings of the full quotient dimension, which settles depth.
-    Returns f = 1 untouched when nothing needs to be avoided.  Raises
-    ValueError when a filtration's base is not the power of I at its level.
+    Returns f = 1 untouched when nothing needs to be avoided.
+
+    ``source`` is I or a term system of its powers, whose I^n the bases are
+    compared with; :func:`~monofilt.superficial.powers_of` refuses any other
+    term system.  Raises ValueError when a filtration's base is not the
+    power of I at its level, by
+    :func:`~monofilt.superficial.check_filters_powers`, the check
+    :func:`~monofilt.epsilon.filtration_bound_check` shares.
     """
-    ctx = I.ctx
-    power, k = unit_ideal(ctx), 0
-    for n in sorted(filtrations):
-        while k < n:
-            power, k = power * I, k + 1
-        if filtrations[n].base != power:
-            raise ValueError(f"the filtrations do not filter R/I^{n}")
+    ts = powers_of(source)
+    I, ctx = ts.I, ts.ctx
+    check_filters_powers(ts, filtrations, sorted(filtrations))
     top = set(minh(I))
     dim_quotient = ctx.num_vars - min(p.codim() for p in top)
     extras = set()

@@ -240,6 +240,25 @@ def terms_of(source: "MonomialIdeal | TermSystem", kind: type = TermSystem) -> T
     return source
 
 
+def powers_of(source: "MonomialIdeal | TermSystem") -> TermSystem:
+    """:func:`terms_of` of ``source``, refused unless its terms are the ordinary powers I^n.
+
+    The analyses of R/I^n (torsion lengths, the bound check, the cm
+    certificate) call it; a closure chain filters other modules.
+    """
+    ts = terms_of(source)
+    if type(ts) is not TermSystem:
+        raise ValueError(f"the analysis needs the powers of I, not a {type(ts).__name__}")
+    return ts
+
+
+def check_filters_powers(ts: TermSystem, filtrations: dict, levels) -> None:
+    """Raise ValueError at the first of ``levels`` whose filtration's base is not I^n."""
+    for n in levels:
+        if filtrations[n].base != ts.term(n):
+            raise ValueError(f"the filtrations do not filter R/I^{n}")
+
+
 def _meet_lies_in(A: MonomialIdeal, B: MonomialIdeal, C: MonomialIdeal) -> bool:
     # A meet B is generated by the lcms of the generator pairs, so it lies in
     # C when each of them does; the scan stops at the first that does not.

@@ -1,7 +1,9 @@
 """The traced benchmark run rebinds names in monofilt's modules by attribute.
 
 A refactor that deletes or renames one of them makes the tracer fail at
-install; this test turns that into a tier-1 failure.
+install; this test turns that into a tier-1 failure.  It also pins that the
+sweeps of ``cm`` and ``epsilon`` run inside traced spans: one report, one
+``validate`` per level, no digest and one check per command.
 """
 
 import os
@@ -42,6 +44,20 @@ with redirect_stdout(io.StringIO()):
 assert code == 0, code
 assert tracer.calls["closure.integral_closure_power"] > 0, tracer.calls
 assert tracer.counts["closure.cells_scanned"] > 0, tracer.counts
+# cm and epsilon run their sweep and their check inside traced spans.
+for command, nmax, check in (
+    ("cm", 3, "filtration.cm_certificate"),
+    ("epsilon", 4, "epsilon.filtration_bound_check"),
+):
+    before = tracer.calls.copy()
+    with redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--ideal", "vars: x,y ; ideal: x^2, x*y", "--nmax", str(nmax)])
+    assert code == 0, code
+    calls = tracer.calls - before
+    assert calls["powers.powers_report"] == 1, (command, calls)
+    assert calls["filtration.validate"] == nmax, (command, calls)
+    assert calls["powers.filtration_digest"] == 0, (command, calls)
+    assert calls[check] == 1, (command, calls)
 """
 
 

@@ -43,22 +43,26 @@ def _shared() -> set:
     return (reads(cli._run) | reads(cli._load_ideal) | reads(cli._emit)) - {"command"}
 
 
+def _handler(command: str):
+    return cli._COMMANDS[command][-1]
+
+
 def _declared(command: str) -> set:
     return set(vars(cli.build_parser().parse_args([command]))) - {"command"}
 
 
-@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_command_declares_exactly_what_it_reads(command):
-    assert not hides_reads(cli._HANDLERS[command])
-    assert _declared(command) == reads(cli._HANDLERS[command]) | _shared() | set(_UNREAD)
+    assert not hides_reads(_handler(command))
+    assert _declared(command) == reads(_handler(command)) | _shared() | set(_UNREAD)
 
 
-@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_config_echo_names_what_the_handler_reads(command, capsys):
     argv = [command, "--ideal", "vars: x,y ; ideal: x^2, x*y", "--nmax", "2", "--format", "json"]
     assert cli.main(argv) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert set(config) == reads(cli._HANDLERS[command]) | {"vars", "ideal"}
+    assert set(config) == reads(_handler(command)) | {"vars", "ideal"}
 
 
 def test_reads_sees_nested_functions_and_rejects_hidden_reads():

@@ -139,7 +139,7 @@ def test_prime_support_is_a_strictly_increasing_tuple():
 
 
 def test_unit_ideal_has_no_associated_primes(kxy):
-    with pytest.raises(DegenerateIdealError, match="R/J is zero for the unit ideal"):
+    with pytest.raises(DegenerateIdealError, match="R/J is the zero module"):
         associated_primes(unit_ideal(kxy))
 
 

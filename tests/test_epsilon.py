@@ -77,7 +77,7 @@ def test_bound_check_rejects_a_report_of_other_modules(kxy):
     # The closure sweep has the same ideal but filters R/closure(I^n); its
     # multiplicities would fail the bound falsely (length 9 against 6 at n = 1).
     I = parse_ideal("x^3, y^3", kxy)
-    with pytest.raises(ValueError, match="does not filter R/I\\^1"):
+    with pytest.raises(ValueError, match="do not filter R/I\\^1"):
         filtration_bound_check(I, 6, closure_powers_report(I, 6))
     for mode in ("naive", "theorem"):
         assert all(row.ok for row in filtration_bound_check(I, 6, powers_report(I, 6, mode)))

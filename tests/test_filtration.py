@@ -22,7 +22,8 @@ from monofilt import (
     validate,
     zero_ideal,
 )
-from monofilt.ring import InfiniteLengthError
+from monofilt.ring import InfiniteLengthError, MonomialIdeal
+from monofilt.superficial import TermSystem
 
 import oracles
 
@@ -196,6 +197,21 @@ def test_cm_certificate_rejects_filtrations_of_other_modules(kxy):
     assert cm_certificate(I, {2: powers[2], 4: powers[4]}).all_pass()
     with pytest.raises(ValueError, match=r"do not filter R/I\^4$"):
         cm_certificate(I, {2: powers[2], 4: powers[3]})
+
+
+def test_cm_certificate_reads_the_powers_of_the_sweeps_term_system(kxyz, monkeypatch):
+    # Given the term system its sweep built, the certificate compares each
+    # base with the powers already there and multiplies no ideal out again.
+    I = parse_ideal("x*z, y*z", kxyz)
+    expected = cm_certificate(I, powers_report(I, 4, "theorem").filtrations)
+    terms = TermSystem(I)
+    filtrations = powers_report(terms, 4, "theorem", analyze=False).filtrations
+
+    def product_built(self, other):
+        raise AssertionError("cm_certificate built an ideal product")
+
+    monkeypatch.setattr(MonomialIdeal, "__mul__", product_built)
+    assert cm_certificate(terms, filtrations) == expected
 
 
 @st.composite

@@ -11,7 +11,10 @@ re-exports it or some module of the package loads its name, bare, as an
 attribute, or inside a string annotation.
 
 Each message of the analyses' check policy has one raiser: a zero or unit
-ideal is refused by ``TermSystem``, and a count below 1 by ``check_counts``.
+ideal is refused by ``TermSystem``, a count below 1 by ``check_counts``, a
+term system other than the powers of I by ``powers_of``, filtrations whose
+bases are not the powers of I by ``check_filters_powers``, and the zero
+module R/J by ``check_nonzero_module``.
 
 Importing the command line loads neither ``fractions`` nor ``decimal``.
 """
@@ -159,15 +162,18 @@ def test_check_catches_dead_helpers():
 _POLICY = {
     "must be proper and nonzero": (("superficial.py", "TermSystem.__init__"),),
     "must be at least 1": (("superficial.py", "check_counts"),),
+    "the powers of I, not a": (("superficial.py", "powers_of"),),
+    "do not filter R/I^": (("superficial.py", "check_filters_powers"),),
+    "R/J is the zero module": (("decomposition.py", "check_nonzero_module"),),
 }
 
 
 def policy_raisers(sources: dict) -> list:
     """(file, function, phrase) for each raise whose message holds a phrase of ``_POLICY``.
 
-    Only ``ValueError`` and ``MonofiltError`` raises count: the parser's
-    ``IdealSyntaxError`` messages describe the input text at a position,
-    not a request.  ``function`` is the qualified name of the enclosing def.
+    Only ``ValueError``, ``MonofiltError`` and ``DegenerateIdealError``
+    raises count: the parser's ``IdealSyntaxError`` messages describe the
+    input text at a position, not a request.  ``function`` is the qualified name of the enclosing def.
     """
     found = []
 
@@ -179,7 +185,7 @@ def policy_raisers(sources: dict) -> list:
             if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
                 func = child.exc.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("ValueError", "MonofiltError"):
+                if name in ("ValueError", "MonofiltError", "DegenerateIdealError"):
                     text = "".join(
                         n.value
                         for n in ast.walk(child.exc)
@@ -214,10 +220,13 @@ def test_check_catches_a_copied_policy_check():
             "        raise ValueError(f'n_max must be at least 1, got {n_max}')\n"
             "def parse(text):\n"
             "    raise IdealSyntaxError('exponents must be at least 1', 0)\n"
+            "def h0_length(J):\n"
+            "    raise DegenerateIdealError('R/J is the zero module')\n"
         ),
     }
     assert policy_raisers(sources) == [
         ("a.py", "TermSystem.__init__", "must be proper and nonzero"),
         ("a.py", "check_counts", "must be at least 1"),
+        ("a.py", "h0_length", "R/J is the zero module"),
         ("a.py", "sweep", "must be at least 1"),
     ]

@@ -11,6 +11,7 @@ from monofilt import (
     CyclicFilteredModule,
     FiltrationEngine,
     closure_powers_report,
+    cm_certificate,
     cofinality_table,
     colon_threshold,
     context,
@@ -286,6 +287,11 @@ class _Rising(TermSystem):
         ),
         (lambda I: colon_threshold(_unit_module(I.ctx), (1, 0), 1, 10), _DEGENERATE),
         (lambda I: cofinality_table(_Rising(I), 3), "the term ideals are not descending"),
+        (lambda I: cm_certificate(zero_ideal(I.ctx), {}), _DEGENERATE),
+        (
+            lambda I: cm_certificate(ClosureChain(I), powers_report(I, 2).filtrations),
+            "the powers of I, not a ClosureChain",
+        ),
     ],
     ids=[
         "noetherian_exponent",
@@ -297,6 +303,8 @@ class _Rising(TermSystem):
         "verify_certificate",
         "colon_threshold",
         "cofinality_table_rising",
+        "cm_certificate_zero_ideal",
+        "cm_certificate_closure_chain",
     ],
 )
 def test_requests_that_used_to_pass_unchecked_are_refused(kxy, request_, message):
