@@ -2,12 +2,13 @@
 
 Commands parse one ideal, run the requested analysis, and emit a report in
 one of three formats: a human-readable table, a canonical JSON document, or
-a flat CSV table for spreadsheets.  Each command returns its report body and
-the tables for the other two formats; one renderer builds the requested
-format.  Reports embed the tool version and an echo of the mathematical
-configuration; execution details are deliberately left out so identical
-inputs produce byte-identical reports.  Commands run serially: ``--jobs`` is
-accepted for compatibility and ignored, and ``MONOFILT_JOBS`` is not read.
+a flat CSV table for spreadsheets.  Each command returns thunks for its
+report body and for the tables of the other two formats; one renderer builds
+the requested format and nothing else.  Reports embed the tool version and
+an echo of the mathematical configuration; execution details are
+deliberately left out so identical inputs produce byte-identical reports.
+Commands run serially: ``--jobs`` is accepted for compatibility and ignored,
+and ``MONOFILT_JOBS`` is not read.
 
 Beyond the input and output flags and ``--nmax``, each command declares only
 the options its handler reads (``_COMMANDS``), and the echo holds just those.
@@ -35,7 +36,7 @@ from .closure import (
 from .epsilon import epsilon_estimate, filtration_bound_check
 from .errors import CertificateError, MonofiltError
 from .filtration import cm_certificate
-from .powers import WINDOW, ass_stability, powers_report
+from .powers import WINDOW, PowersReport, ass_stability, powers_report
 from .ring import parse_problem, zero_ideal
 from .superficial import C_MAX, ORDER_MAX, CyclicFilteredModule, TermSystem, find_superficial
 
@@ -116,9 +117,11 @@ def _csv_text(header, rows) -> str:
 def _run(handler, args) -> int:
     """Run one command and emit its report in the requested format.
 
-    ``handler(args, ctx, I)`` returns the report body, a thunk for the CSV
-    ``(header, rows)`` and a thunk for the human-readable lines; only the
-    requested format is built.
+    ``handler(args, ctx, I)`` returns three thunks: the JSON report body,
+    the CSV ``(header, rows)`` and the human-readable lines.  Only the
+    requested format is built, so what only the JSON body prints, such as
+    the per-level Ass and digests of a powers sweep, is computed for
+    ``json`` alone.
     """
     ctx, I = _load_ideal(args)
     body, table, human = handler(args, ctx, I)
@@ -127,7 +130,7 @@ def _run(handler, args) -> int:
             "tool": {"name": "monofilt", "version": __version__},
             "command": args.command,
             "config": _config_echo(args, ctx, I),
-            "report": body,
+            "report": body(),
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
@@ -178,22 +181,24 @@ def cmd_powers(args, ctx, I):
     modes = ("naive", "theorem") if args.mode == "both" else (args.mode,)
     # both sweeps of --mode both read the powers from one term system
     terms = TermSystem(I)
-    docs = {
-        mode: powers_report(
-            terms, args.nmax, mode, window=args.window, order_max=args.order_max
-        ).to_document()
-        for mode in modes
-    }
-    body = docs if args.mode == "both" else docs[args.mode]
+
+    def documents(render):
+        # one sweep per mode, each dropped once it is rendered
+        options = dict(window=args.window, order_max=args.order_max)
+        return {mode: render(powers_report(terms, args.nmax, mode, **options)) for mode in modes}
+
+    def body():
+        docs = documents(PowersReport.to_document)
+        return docs if args.mode == "both" else docs[args.mode]
 
     def human():
         lines = [f"monofilt {__version__} powers"]
-        for doc in docs.values():
+        for doc in documents(PowersReport.summary).values():
             lines.extend(_human_powers(doc))
         return lines
 
     # the CSV keeps the theorem table when both modes run
-    return body, lambda: _ledger_table(docs[modes[-1]]), human
+    return body, lambda: _ledger_table(documents(PowersReport.summary)[modes[-1]]), human
 
 
 # -- ass ----------------------------------------------------------------------
@@ -214,7 +219,7 @@ def cmd_ass(args, ctx, I):
         rows = [(row["n"], _prime_label(p)) for row in body["per_n"] for p in row["ass"]]
         return ("n", "prime"), rows
 
-    return body, table, human
+    return lambda: body, table, human
 
 
 # -- superficial ---------------------------------------------------------------
@@ -240,7 +245,7 @@ def cmd_superficial(args, ctx, I):
     def human():
         return [f"monofilt {__version__} superficial", json.dumps(body, indent=2, sort_keys=True)]
 
-    return body, lambda: table, human
+    return lambda: body, lambda: table, human
 
 
 # -- closure -------------------------------------------------------------------
@@ -253,7 +258,7 @@ def cmd_closure(args, ctx, I):
     exponent = noetherian_exponent(closures, l_max=4, n_max=min(args.nmax, 6))
     rees = rees_cofinality_constant(closures, m_max=args.nmax)
     report = closure_powers_report(closures, args.nmax, window=args.window, order_max=args.order_max)
-    body = {
+    fields = {
         "polyhedron": poly.serialize(),
         # each filtration of the closure sweep has closure(I^n) as its base
         "closures": [
@@ -262,20 +267,22 @@ def cmd_closure(args, ctx, I):
         ],
         "noetherian_exponent": exponent.to_document(),
         "rees_cofinality_constant": rees,
-        "powers": report.to_document(),
     }
 
     def human():
         lines = [f"monofilt {__version__} closure  n_max: {args.nmax}"]
-        lines.append("polyhedron: " + json.dumps(body["polyhedron"], sort_keys=True))
-        for row in body["closures"]:
+        lines.append("polyhedron: " + json.dumps(fields["polyhedron"], sort_keys=True))
+        for row in fields["closures"]:
             lines.append(f"closure(I^{row['n']}): ({', '.join(row['generators'])})")
         lines.append(f"noetherian exponent: {exponent.exponent}")
         lines.append(f"rees cofinality constant: {rees}")
-        lines.extend(_human_powers(body["powers"]))
+        lines.extend(_human_powers(report.summary()))
         return lines
 
-    return body, lambda: _ledger_table(body["powers"]), human
+    def body():
+        return {**fields, "powers": report.to_document()}
+
+    return body, lambda: _ledger_table(report.summary()), human
 
 
 # -- epsilon -------------------------------------------------------------------
@@ -286,7 +293,7 @@ def cmd_epsilon(args, ctx, I):
     terms = TermSystem(I)
     estimate = epsilon_estimate(terms, args.nmax)
     check_to = min(args.nmax, 12)
-    report = powers_report(terms, check_to, "theorem", order_max=args.order_max, analyze=False)
+    report = powers_report(terms, check_to, "theorem", order_max=args.order_max)
     bound = filtration_bound_check(terms, check_to, report)
     body = estimate.to_document()
     body["bound_check"] = [
@@ -308,7 +315,7 @@ def cmd_epsilon(args, ctx, I):
         rows = [(row["n"], row["length"], row["normalized"]) for row in body["per_n"]]
         return ("n", "length", "normalized"), rows
 
-    return body, table, human
+    return lambda: body, table, human
 
 
 # -- cm ------------------------------------------------------------------------
@@ -317,7 +324,7 @@ def cmd_epsilon(args, ctx, I):
 def cmd_cm(args, ctx, I):
     # one term system: the certificate checks each base against the powers of the sweep
     terms = TermSystem(I)
-    report = powers_report(terms, args.nmax, "theorem", order_max=args.order_max, analyze=False)
+    report = powers_report(terms, args.nmax, "theorem", order_max=args.order_max)
     cert = cm_certificate(terms, report.filtrations)
     body = {
         "element": ctx.monomial_str(cert.element),
@@ -350,7 +357,7 @@ def cmd_cm(args, ctx, I):
     def table():
         return ("n", "pass"), [(row["n"], str(row["ok"]).lower()) for row in body["per_n"]]
 
-    return body, table, human
+    return lambda: body, table, human
 
 
 # Each command: its --nmax default, its help, the options its handler reads, and the handler.

@@ -32,7 +32,7 @@ from .ring import (
     mono_mul,
     mono_support,
 )
-from .superficial import TermSystem, check_filters_powers, powers_of
+from .superficial import TermSystem, check_counts, check_filters_powers, powers_of
 
 
 @dataclass(frozen=True)
@@ -328,13 +328,16 @@ def cm_certificate(source: "MonomialIdeal | TermSystem", filtrations: dict) -> C
 
     ``source`` is I or a term system of its powers, whose I^n the bases are
     compared with; :func:`~monofilt.superficial.powers_of` refuses any other
-    term system.  Raises ValueError when a filtration's base is not the
-    power of I at its level, by
+    term system.  Raises ValueError when ``filtrations`` is empty or has a
+    level below 1, by :func:`~monofilt.superficial.check_counts`, and when
+    a filtration's base is not the power of I at its level, by
     :func:`~monofilt.superficial.check_filters_powers`, the check
     :func:`~monofilt.epsilon.filtration_bound_check` shares.
     """
     ts = powers_of(source)
     I, ctx = ts.I, ts.ctx
+    # an empty set of levels would pass vacuously
+    check_counts(levels=len(filtrations), n=min(filtrations, default=1))
     check_filters_powers(ts, filtrations, sorted(filtrations))
     top = set(minh(I))
     dim_quotient = ctx.num_vars - min(p.codim() for p in top)

@@ -41,7 +41,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .decomposition import associated_primes
@@ -169,10 +169,8 @@ class FiltrationEngine:
             left, left_fb = self._levels[splice["left"]][:2]
             right, right_fb = self._levels[splice["right"]][:2]
             filtration, fell_back = glue(base, splice["multiplier"], left, right), left_fb or right_fb
-        elif base.is_unit():
-            filtration, fell_back = PrimeFiltration(base, ()), False
         else:
-            # Stationary leaves (base == J) and fallbacks share one filtration per base.
+            # Unit leaves, stationary leaves (base == J) and fallbacks share one filtration per base.
             # Unshared, theorem-sweep's job list ran slower in 8 of 10 pairs, its best time +13 %.
             if base not in self._greedy:
                 self._greedy[base] = naive_prime_filtration(base)
@@ -193,12 +191,16 @@ def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
 @dataclass(frozen=True)
 class PowerRecord:
     n: int
-    digest: Optional[str]  # None when the sweep ran without analyzers
     primes: tuple
     ledger: tuple  # sorted tuple of (MonomialPrime, multiplicity)
-    ass: Optional[tuple]  # None when the sweep ran without analyzers
     fallback: bool
     steps: int
+    terms: TermSystem = field(repr=False, compare=False)  # the sweep's term system
+
+    @property
+    def ass(self) -> tuple:
+        """Ass(R/T(n)), computed on the first read and kept by the sweep's term system."""
+        return tuple(self.terms.memo(associated_primes, self.n))
 
 
 @dataclass(frozen=True)
@@ -223,9 +225,8 @@ class PowersReport:
                 return Counter(dict(record.ledger))
         raise KeyError(n)
 
-    def to_document(self) -> dict:
-        if any(r.digest is None for r in self.records):
-            raise ValueError("a report swept without analyzers has no digests or Ass to print")
+    def summary(self) -> dict:
+        """The report document without each level's digest and Ass; ``human`` and ``csv`` print this."""
         ctx = self.ctx
         return {
             "ideal": self.ideal.generator_strings(),
@@ -235,12 +236,8 @@ class PowersReport:
             "per_n": [
                 {
                     "n": r.n,
-                    "digest": r.digest,
                     "primes": [p.names(ctx) for p in r.primes],
-                    "ledger": [
-                        {"prime": p.names(ctx), "multiplicity": c} for p, c in r.ledger
-                    ],
-                    "ass": [p.names(ctx) for p in r.ass],
+                    "ledger": [{"prime": p.names(ctx), "multiplicity": c} for p, c in r.ledger],
                     "fallback": r.fallback,
                     "steps": r.steps,
                     "validated": True,
@@ -250,11 +247,7 @@ class PowersReport:
             "primes_union": [p.names(ctx) for p in self.primes_union],
             "stabilization": self.stabilization,
             "growth": [
-                {
-                    "prime": p.names(ctx),
-                    "exponent": None if e is None else round(e, 6),
-                    "points": k,
-                }
+                {"prime": p.names(ctx), "exponent": None if e is None else round(e, 6), "points": k}
                 for p, e, k in self.growth
             ],
             "superficial": None if self.superficial is None else self.superficial.serialize(ctx),
@@ -263,6 +256,21 @@ class PowersReport:
                 for J, n, why in self.fallback_nodes
             ],
         }
+
+    def to_document(self) -> dict:
+        """:meth:`summary` with each level's filtration digest and Ass(R/T(n)) added.
+
+        The digests are made first, over one witness cache that is dropped
+        before the rows are built, so the two are never held at once.
+        """
+        witness_text = {}
+        digests = [filtration_digest(self.filtrations[r.n], witness_text) for r in self.records]
+        del witness_text
+        document = self.summary()
+        for row, r, digest in zip(document["per_n"], self.records, digests):
+            row["digest"] = digest
+            row["ass"] = [p.names(self.ctx) for p in r.ass]
+        return document
 
 
 def filtration_digest(filtration: PrimeFiltration, witness_text: dict) -> str:
@@ -275,7 +283,8 @@ def filtration_digest(filtration: PrimeFiltration, witness_text: dict) -> str:
     is written from cached fragments instead: one per prime support, made
     here, and one per witness, kept in ``witness_text`` across calls.  A
     witness's fragment holds its variable names, so one ``witness_text``
-    dict serves one ring; :func:`powers_report` makes one per sweep.
+    dict serves one ring; :meth:`PowersReport.to_document` makes one per
+    document.
     """
     ctx = filtration.base.ctx
     names = ctx.variable_names
@@ -345,7 +354,6 @@ def powers_report(
     *,
     window: int = WINDOW,
     order_max: int = ORDER_MAX,
-    analyze: bool = True,
 ) -> PowersReport:
     """Sweep n = 1..n_max, validate every filtration, and run the analyzers.
 
@@ -354,12 +362,9 @@ def powers_report(
     Raises :class:`CertificateError` if any emitted filtration fails
     re-validation, which pipelines surface as exit code 2.
 
-    With ``analyze=False`` each record's ``ass`` and ``digest`` stay None:
-    the per-level associated primes and filtration digests are not computed,
-    and :meth:`PowersReport.to_document` refuses the report.  Everything
-    else, from the validation of every level to the growth fit, is built as
-    with the default.  ``epsilon`` and ``cm`` pass it, since they read only
-    the filtrations and ledgers.
+    No level's associated primes or filtration digest is computed here:
+    a record's ``ass`` is computed when it is first read, and the digests
+    when :meth:`PowersReport.to_document` prints them.
     """
     if mode not in ("naive", "theorem"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -374,7 +379,6 @@ def powers_report(
 
     records = []
     filtrations = {}
-    witness_text = {}
     for n in range(1, n_max + 1):
         if engine is not None:
             filtration, fell_back = engine.filtration(n)
@@ -388,12 +392,11 @@ def powers_report(
         ledger = tuple(sorted(filtration.ledger().items()))
         record = PowerRecord(
             n=n,
-            digest=filtration_digest(filtration, witness_text) if analyze else None,
             primes=tuple(p for p, _ in ledger),
             ledger=ledger,
-            ass=tuple(ts.memo(associated_primes, n)) if analyze else None,
             fallback=fell_back,
             steps=len(filtration.steps),
+            terms=ts,
         )
         records.append(record)
         filtrations[n] = filtration

@@ -3,7 +3,8 @@
 A refactor that deletes or renames one of them makes the tracer fail at
 install; this test turns that into a tier-1 failure.  It also pins that the
 sweeps of ``cm`` and ``epsilon`` run inside traced spans: one report, one
-``validate`` per level, no digest and one check per command.
+``validate`` per level, no digest and one check per command; and that a
+``powers`` report in the ``human`` format computes no digest and no Ass.
 """
 
 import os
@@ -58,6 +59,15 @@ for command, nmax, check in (
     assert calls["filtration.validate"] == nmax, (command, calls)
     assert calls["powers.filtration_digest"] == 0, (command, calls)
     assert calls[check] == 1, (command, calls)
+# A powers report printed for people computes no per-level Ass or digest.
+before = tracer.calls.copy()
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["powers", "--ideal", "vars: x,y ; ideal: x^2, x*y", "--nmax", "3", "--format", "human"])
+assert code == 0, code
+calls = tracer.calls - before
+assert calls["powers.powers_report"] == 1, calls
+assert calls["powers.filtration_digest"] == 0, calls
+assert calls["decomposition.associated_primes"] == 0, calls
 """
 
 

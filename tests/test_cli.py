@@ -421,17 +421,22 @@ def test_powers_both_modes_compute_ass_once_per_level(tmp_path, monkeypatch):
     original = powers.associated_primes
     monkeypatch.setattr(powers, "associated_primes", lambda J: calls.append(J) or original(J))
     args = ("powers", "--mode", "both", "--ideal", "vars: x,y ; ideal: x^3, y^3", "--nmax", "6")
-    code, _ = run(tmp_path, *args)
+    code, _ = run(tmp_path, *args, "--format", "json")
     assert code == 0
     assert len(calls) == len(set(calls)) == 6
 
 
-def test_epsilon_and_cm_skip_the_per_level_analyzers(tmp_path, monkeypatch):
-    # Neither report shows Ass or digests, so neither sweep computes them.
+def test_reports_that_print_no_ass_or_digest_compute_none(tmp_path, monkeypatch):
+    # Only the JSON powers document prints the per-level Ass and digests:
+    # epsilon and cm never do, powers and closure not in human or csv.
     calls = []
     for name in ("associated_primes", "filtration_digest"):
         monkeypatch.setattr(powers, name, lambda *a, name=name: calls.append(name))
-    for argv in (("epsilon", "--nmax", "14"), ("cm", "--nmax", "6")):
+    argvs = [("epsilon", "--nmax", "14"), ("cm", "--nmax", "6")]
+    argvs += [(command, "--nmax", "6", "--format", fmt)
+              for command in ("powers", "closure") for fmt in ("human", "csv")]
+    argvs += [("powers", "--mode", "both", "--nmax", "6", "--format", fmt) for fmt in ("human", "csv")]
+    for argv in argvs:
         code, _ = run(tmp_path, *argv, "--ideal", IDEAL)
         assert code == 0, argv
     assert calls == []

@@ -205,7 +205,7 @@ def test_cm_certificate_reads_the_powers_of_the_sweeps_term_system(kxyz, monkeyp
     I = parse_ideal("x*z, y*z", kxyz)
     expected = cm_certificate(I, powers_report(I, 4, "theorem").filtrations)
     terms = TermSystem(I)
-    filtrations = powers_report(terms, 4, "theorem", analyze=False).filtrations
+    filtrations = powers_report(terms, 4, "theorem").filtrations
 
     def product_built(self, other):
         raise AssertionError("cm_certificate built an ideal product")

@@ -25,6 +25,7 @@ from monofilt import (
     validate,
     zero_ideal,
 )
+from monofilt import powers
 from monofilt.filtration import PrimeFiltration
 from monofilt.powers import detect_stabilization, filtration_digest, fit_growth_exponent
 from monofilt.ring import unit_ideal
@@ -296,9 +297,10 @@ def test_digest_and_ledger_match_reference(curated_ideals, kxy):
     for (ctx, I), mode in product(curated_ideals.values(), ("theorem", "naive")):
         report = powers_report(I, 6, mode)
         witness_text = {}
-        for record in report.records:
+        rows = report.to_document()["per_n"]
+        for record, row in zip(report.records, rows, strict=True):
             filtration = report.filtrations[record.n]
-            assert record.digest == oracles.reference_filtration_digest(filtration)
+            assert row["digest"] == oracles.reference_filtration_digest(filtration)
             assert_summary_matches_reference(filtration, witness_text)
             assert record.ledger == tuple(sorted(filtration.ledger().items()))
             assert record.primes == filtration.primes()
@@ -310,8 +312,9 @@ def test_digest_and_ledger_match_reference(curated_ideals, kxy):
     for mode in ("theorem", "naive"):
         report = powers_report(I, 4, mode)
         witness_text = {}
-        for record in report.records:
-            assert record.digest == oracles.reference_filtration_digest(report.filtrations[record.n])
+        rows = report.to_document()["per_n"]
+        for record, row in zip(report.records, rows, strict=True):
+            assert row["digest"] == oracles.reference_filtration_digest(report.filtrations[record.n])
             assert_summary_matches_reference(report.filtrations[record.n], witness_text)
         assert any("\\u03b1" in text for text in witness_text.values())
 
@@ -327,7 +330,7 @@ def test_theorem_digests_match_golden(suite_reports, curated_ideals):
         if report is None or report.n_max != case["n_max"]:
             _, I = parse_problem(case["ideal"])
             report = powers_report(I, case["n_max"], "theorem")
-        assert [r.digest for r in report.records] == case["digests"], case["ideal"]
+        assert [row["digest"] for row in report.to_document()["per_n"]] == case["digests"], case["ideal"]
 
 
 def test_naive_digests_match_golden():
@@ -340,7 +343,7 @@ def test_naive_digests_match_golden():
     for case in golden:
         _, I = parse_problem(case["ideal"])
         report = powers_report(I, case["n_max"], "naive")
-        assert [r.digest for r in report.records] == case["digests"], case["ideal"]
+        assert [row["digest"] for row in report.to_document()["per_n"]] == case["digests"], case["ideal"]
 
 
 # Engine records pinned in tests/golden/engine_records.json: the curated
@@ -489,10 +492,17 @@ def test_levels_do_not_depend_on_call_order(curated_ideals):
             assert fresh.glue_nodes.items() <= swept.glue_nodes.items(), (I, n)
 
 
-def test_report_without_analyzers_matches_default():
-    # analyze=False drops only the per-level Ass and digests.
+def test_only_the_document_computes_the_per_level_ass_and_digests(monkeypatch):
+    # powers_report computes no level's Ass or digest; to_document computes
+    # each once per level, and each record's ass is its document row.
     import random
 
+    calls = Counter()
+    for name in ("associated_primes", "filtration_digest"):
+        original = getattr(powers, name)
+        monkeypatch.setattr(
+            powers, name, lambda *a, name=name, original=original: calls.update([name]) or original(*a)
+        )
     rng = random.Random(7213)
     drawn = 0
     while drawn < 12:
@@ -501,15 +511,10 @@ def test_report_without_analyzers_matches_default():
             continue
         drawn += 1
         for mode in ("naive", "theorem"):
-            full = powers_report(I, 4, mode)
-            bare = powers_report(I, 4, mode, analyze=False)
-            for a, b in zip(full.records, bare.records, strict=True):
-                assert (b.n, b.primes, b.ledger, b.fallback, b.steps) == (
-                    a.n, a.primes, a.ledger, a.fallback, a.steps
-                ), (I, mode)
-                assert b.digest is None and b.ass is None
-                assert bare.filtrations[b.n] == full.filtrations[a.n]
-            for field in ("primes_union", "stabilization", "growth", "superficial", "fallback_nodes"):
-                assert getattr(bare, field) == getattr(full, field), (I, mode, field)
-            with pytest.raises(ValueError):
-                bare.to_document()
+            calls.clear()
+            report = powers_report(I, 4, mode)
+            assert calls == Counter(), (I, mode)
+            document = report.to_document()
+            assert calls == Counter(associated_primes=4, filtration_digest=4), (I, mode)
+            for record, row in zip(report.records, document["per_n"], strict=True):
+                assert [p.names(I.ctx) for p in record.ass] == row["ass"], (I, mode)

@@ -10,6 +10,7 @@ from monofilt import (
     ClosureChain,
     CyclicFilteredModule,
     FiltrationEngine,
+    PrimeFiltration,
     closure_powers_report,
     cm_certificate,
     cofinality_table,
@@ -292,6 +293,15 @@ class _Rising(TermSystem):
             lambda I: cm_certificate(ClosureChain(I), powers_report(I, 2).filtrations),
             "the powers of I, not a ClosureChain",
         ),
+        (lambda I: cm_certificate(I, {}), "levels must be at least 1, got 0"),
+        (
+            lambda I: cm_certificate(I, {0: PrimeFiltration(unit_ideal(I.ctx), ())}),
+            "n must be at least 1, got 0",
+        ),
+        (
+            lambda I: cm_certificate(I, {-3: PrimeFiltration(unit_ideal(I.ctx), ())}),
+            "n must be at least 1, got -3",
+        ),
     ],
     ids=[
         "noetherian_exponent",
@@ -305,6 +315,9 @@ class _Rising(TermSystem):
         "cofinality_table_rising",
         "cm_certificate_zero_ideal",
         "cm_certificate_closure_chain",
+        "cm_certificate_no_level",
+        "cm_certificate_level_0",
+        "cm_certificate_negative_level",
     ],
 )
 def test_requests_that_used_to_pass_unchecked_are_refused(kxy, request_, message):

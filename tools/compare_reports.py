@@ -10,11 +10,13 @@ and 3, a 4-variable ``closure`` at ``--nmax`` 1 and 2, and deeper theorem
 ``powers`` sweeps, of (x) to ``--nmax`` 300, (x^2, x*y) to 40, (x^2, y^2,
 z^2, w^2) to 5, the 3-variable ideal of ``closure`` to 6, where the
 certificate search asks for the most colons, and (x^3, y^3) to 24, whose
-witness chains are the longest that ``validate`` reads, and the sweeps
-that run without analyzers: ``epsilon`` of (x^2, x*y) to 60 and of (x*y,
-y*z, x*z) to 8, whose every level falls back to the greedy filtration,
-and ``cm`` of (x*z, y*z) to 12 and of (x*y, y*z, x*z) to 6, which exits
-1, each in the ``json``, ``human`` and ``csv`` formats; then, in
+witness chains are the longest that ``validate`` reads, the commands that
+read only the filtrations and ledgers of their sweep: ``epsilon`` of (x^2,
+x*y) to 60 and of (x*y, y*z, x*z) to 8, whose every level falls back to
+the greedy filtration, and ``cm`` of (x*z, y*z) to 12 and of (x*y, y*z,
+x*z) to 6, which exits 1, and ``powers --mode both``, whose two sweeps
+share one term system, of (x^3, y^3) to 12 and (x^2, x*y) to 8, each in
+the ``json``, ``human`` and ``csv`` formats; then, in
 ``json``, each command with ``--nmax`` and one of ``--window`` and
 ``--order-max`` set away from its default, followed by the same command at
 every default.  Each side runs all of them through ``monofilt.cli.main`` in
@@ -83,14 +85,17 @@ _DEEP_POWERS = (
     (_THREE_VARIABLES, "6"),
     ("vars: x,y ; ideal: x^3, y^3", "24"),
 )
-# epsilon and cm sweep without the per-level analyzers.
+# epsilon and cm read only the filtrations and ledgers of their sweep, never
+# a level's Ass or digest.
 _TRIANGLE = "vars: x,y,z ; ideal: x*y, y*z, x*z"
-_UNANALYZED = (
+_FILTRATIONS_ONLY = (
     ("epsilon", _SMALL, "60"),
     ("epsilon", _TRIANGLE, "8"),
     ("cm", "vars: x,y,z ; ideal: x*z, y*z", "12"),
     ("cm", _TRIANGLE, "6"),
 )
+# The naive and theorem sweeps of one command share the per-level Ass.
+_BOTH_MODES = (("vars: x,y ; ideal: x^3, y^3", "12"), (_SMALL, "8"))
 _SET_AWAY = (
     ("powers", "--window", "2"),
     ("powers", "--order-max", "1"),
@@ -116,7 +121,9 @@ def command_lines(seeds: int) -> list:
     argvs += [["powers", "--mode", "theorem", "--ideal", text, "--nmax", n, "--format", "json"]
               for text, n in _DEEP_POWERS]
     argvs += [[command, "--ideal", text, "--nmax", n, "--format", "json"]
-              for command, text, n in _UNANALYZED]
+              for command, text, n in _FILTRATIONS_ONLY]
+    argvs += [["powers", "--mode", "both", "--ideal", text, "--nmax", n, "--format", "json"]
+              for text, n in _BOTH_MODES]
     lines = []
     for argv in argvs:
         at = argv.index("--format") + 1
