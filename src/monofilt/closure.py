@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 from .errors import DimensionLimitError
@@ -48,6 +48,7 @@ from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
 from .superficial import TermSystem, check_counts, cofinality_table, terms_of
 
 _MAX_HULL_VARS = 6
+_MAX_HEAD_CELLS = 10**6
 
 
 def _det(rows) -> int:
@@ -172,7 +173,8 @@ def integral_closure_power(source: "MonomialIdeal | ClosureChain", n: int) -> Mo
     minimal members have each coordinate at most n times the largest
     exponent of that variable among the generators, so the scan over that
     box with divisibility pruning is exhaustive.  Higher powers are read
-    from a new chain.
+    from a new chain.  A scan of more than ``_MAX_HEAD_CELLS`` cells is
+    refused with :class:`DimensionLimitError` before any cell is built.
     """
     check_counts(power=n)
     if not isinstance(source, MonomialIdeal) or n >= _scan_below(source):
@@ -180,6 +182,8 @@ def integral_closure_power(source: "MonomialIdeal | ClosureChain", n: int) -> Mo
     I = source
     poly = newton_polyhedron(I)
     box = tuple(v * n for v in I.box())
+    if (cells := prod(b + 1 for b in box)) > _MAX_HEAD_CELLS:
+        raise DimensionLimitError(f"closure head scan of {cells} cells exceeds the limit {_MAX_HEAD_CELLS}")
     kept = []
     for p in box_monomials(box):
         if any(mono_divides(k, p) for k in kept):

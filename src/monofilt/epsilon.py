@@ -1,9 +1,10 @@
 """Lengths of the torsion part of R/I^n and the epsilon-multiplicity estimator.
 
 The degree-zero local cohomology at the graded maximal ideal is realized as
-sat(J)/J, whose monomials all lie inside the generator box of J, so each
-length is a difference of two finite colengths.  The estimator normalizes by
-d! / n^d and takes the maximum over a trailing window as the limsup proxy.
+sat(J)/J, whose monomials are counted on J's own staircase, the walk that
+:meth:`~monofilt.ring.MonomialIdeal.colength` shares.  The estimator
+normalizes by d! / n^d and takes the maximum over a trailing window as the
+limsup proxy.
 """
 
 from __future__ import annotations
@@ -13,29 +14,27 @@ from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime, check_nonzero_module
-from .ring import MonomialIdeal, ideal
+from .ring import MonomialIdeal, staircase
 from .superficial import TermSystem, check_counts, check_filters_powers, powers_of
 
 
 def h0_length(J: MonomialIdeal) -> int:
     """Length of sat(J)/J, the maximal-ideal torsion of R/J.
 
-    Any monomial of sat(J) outside J has, in every variable, exponent
-    strictly below that variable's maximum over the generators of J: a
-    witness with a larger exponent would already be divisible by the
-    generator that eventually absorbs it.  So with B the pure powers at J's
-    generator box, sat(J)/J has the length of (sat(J) + B)/(J + B), which is
-    colength(J + B) - colength(sat(J) + B).  When sat(J) differs from J every
-    variable occurs in J (a variable absent from J is a nonzerodivisor on
-    R/J), so B is proper and both colengths are finite.
+    A monomial w outside J lies in sat(J) = the intersection of the
+    J : x_i^infinity exactly when each variable x_i has a generator that
+    exceeds w on x_i alone.  In a cell of :func:`~monofilt.ring.staircase`
+    over the first d - 1 variables, the last variable asks for a generator
+    that exceeds the cell on no leading axis and w on the last one: t < top.
+    A leading axis i asks for a generator that exceeds the cell on axis i
+    alone and not w on the last axis: t >= floor.  So each cell holds
+    top - floor torsion monomials above each of its points, when both are
+    set and top > floor; outside every cell some leading exponent reaches
+    the generator box, where no generator exceeds w on that axis.
     """
     check_nonzero_module(J)
-    d = J.ctx.num_vars
-    saturated = J.saturation(MonomialPrime(tuple(range(d))).as_ideal(J.ctx))
-    if saturated == J:
-        return 0
-    pure = ideal(J.ctx, [tuple(b if j == i else 0 for j in range(d)) for i, b in enumerate(J.box())])
-    return (J + pure).colength() - (saturated + pure).colength()
+    cells = staircase(J.generators, J.ctx.num_vars)
+    return sum(v * (top - floor) for v, top, floor in cells if None not in (top, floor) and top > floor)
 
 
 @dataclass(frozen=True)

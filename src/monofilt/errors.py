@@ -39,4 +39,4 @@ class CertificateError(MonofiltError):
 
 
 class DimensionLimitError(MonofiltError):
-    """Polyhedral computations were requested in more variables than supported."""
+    """Polyhedral work was requested in more variables, or over more cells, than supported."""

@@ -306,14 +306,10 @@ class MonomialIdeal:
         Finite exactly when every variable appears as a pure power among the
         generators, the unit monomial included (the unit ideal has colength
         0); otherwise :class:`InfiniteLengthError` identifies an unbounded
-        variable.  The count runs over the staircase of the last variable:
-        membership of (p, t), with p on the first d - 1 variables, changes
-        only where p crosses a generator exponent, and within one box of such
-        values the monomials outside the ideal are those with t below the
-        least last exponent among the generators that p does not exceed.
-        With the mask bits ordered by last exponent, that is the lowest set
-        bit of ``full & ~reach``, where ``reach`` holds the generators that
-        exceed p somewhere; the pure power of the last variable never does.
+        variable.  The count is read off :func:`staircase`: in each of its
+        cells the monomials outside the ideal are those with last exponent
+        below the cell's top, which the pure power of the last variable
+        always sets.
         """
         d = self.ctx.num_vars
         for i, name in enumerate(self.ctx.variable_names):
@@ -321,19 +317,7 @@ class MonomialIdeal:
                 raise InfiniteLengthError(
                     f"R/ideal has infinite length: no pure power of '{name}' among the generators"
                 )
-        gens = sorted(self.generators, key=itemgetter(d - 1))
-        axes = [sorted({0} | {g[i] for g in gens}) for i in range(d - 1)]
-        full, above, _ = corner_masks(gens, axes)
-        total = 0
-        for cell in _cartesian(*(tuple(zip(axis, axis[1:])) for axis in axes)):
-            reach = 0
-            volume = 1
-            for col, (lo, hi) in zip(above, cell):
-                reach |= col[lo]
-                volume *= hi - lo
-            low = full & ~reach
-            total += volume * gens[(low & -low).bit_length() - 1][-1]
-        return total
+        return sum(volume * top for volume, top, _ in staircase(self.generators, d))
 
     # -- presentation ------------------------------------------------------
 
@@ -403,6 +387,45 @@ def corner_masks(gens, axes) -> tuple:
         above.append(above_i)
         exact.append(exact_i)
     return (1 << len(gens)) - 1, tuple(above), tuple(exact)
+
+
+def staircase(gens, d: int):
+    """Walk the staircase of the last variable: ``(volume, top, floor)`` per cell.
+
+    Membership of (p, t), with p on the first d - 1 variables, changes only
+    where p crosses a generator exponent, so the cells are the boxes
+    [lo, hi) between consecutive values of {0} | {g_i} on each leading axis,
+    and ``volume`` counts the points p in one.  The generators are sorted by
+    last exponent, so bit j of a :func:`corner_masks` row is ``gens[j]`` and
+    the lowest set bit of a mask gives the least last exponent in it.
+
+    ``top`` is the least last exponent among the generators that exceed the
+    cell on no leading axis, or None when there is none: (p, t) lies outside
+    the ideal exactly when t < top.  ``floor`` is the maximum over leading
+    axes i of the least last exponent among the generators that exceed the
+    cell on axis i alone, or None when some axis has no such generator; it
+    is 0 when d = 1.  A monomial (p, t) outside the ideal lies in its
+    saturation by the maximal ideal exactly when top and floor are set and
+    floor <= t: each variable then has a generator that exceeds it on that
+    variable alone.
+    """
+    gens = sorted(gens, key=itemgetter(d - 1))
+    axes = [sorted({0} | {g[i] for g in gens}) for i in range(d - 1)]
+    full, above, _ = corner_masks(gens, axes)
+
+    def least(mask):
+        return gens[(mask & -mask).bit_length() - 1][-1] if mask else None
+
+    for cell in _cartesian(*(tuple(zip(axis, axis[1:])) for axis in axes)):
+        volume = 1
+        once = twice = 0  # generators exceeding the cell on exactly one, or on two or more, axes
+        for col, (lo, hi) in zip(above, cell):
+            volume *= hi - lo
+            twice |= once & col[lo]
+            once = (once | col[lo]) & ~twice
+        floors = [least(col[lo] & once) for col, (lo, _) in zip(above, cell)]
+        floor = None if None in floors else max(floors, default=0)
+        yield volume, least(full & ~(once | twice)), floor
 
 
 # -- parsing ----------------------------------------------------------------

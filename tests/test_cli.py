@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from monofilt import cli, epsilon, powers
+from monofilt import cli, closure, epsilon, powers
 from monofilt.filtration import ValidationResult
 from monofilt.superficial import TermSystem
 
@@ -234,8 +234,8 @@ def test_resource_errors_exit_one(tmp_path, monkeypatch, capsys):
 
 
 def test_closure_of_an_exponent_at_the_parser_limit_exits_one(tmp_path, capsys):
-    # The closure head scans a box as wide as the exponent, past what
-    # range() can size.
+    # The closure head would scan a box as wide as the exponent, past what
+    # range() can size; the cell limit refuses it first.
     for text in (
         "vars: x ; ideal: x^9223372036854775807",
         "vars: x,y ; ideal: x^9223372036854775807, x*y",
@@ -243,8 +243,23 @@ def test_closure_of_an_exponent_at_the_parser_limit_exits_one(tmp_path, capsys):
         code, _ = run(tmp_path, "closure", "--ideal", text, "--nmax", "2")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("monofilt: error: a number is too large")
+        assert err.startswith("monofilt: error: closure head scan of ")
+        assert "cells exceeds the limit 1000000" in err
         assert "Traceback" not in err
+
+
+def test_closure_head_scan_over_the_cell_limit_builds_no_cell(tmp_path, capsys, monkeypatch):
+    # The head of (x^99999999, y) at n = 1 is a box of 2 * 10^8 cells, which
+    # exhausted memory when built and sorted.  The limit refuses it before
+    # any cell exists, so a regression fails here instead of allocating.
+    def build(bounds):
+        raise AssertionError(f"the head box {bounds} was built")
+
+    monkeypatch.setattr(closure, "box_monomials", build)
+    code, _ = run(tmp_path, "closure", "--ideal", "vars: x,y ; ideal: x^99999999, y", "--nmax", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "monofilt: error: closure head scan of 200000000 cells exceeds the limit 1000000\n"
 
 
 def test_human_format_runs(tmp_path):

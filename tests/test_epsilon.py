@@ -4,6 +4,7 @@ from hypothesis import example, given, strategies as st
 from monofilt import (
     ClosureChain,
     DegenerateIdealError,
+    MonomialIdeal,
     MonomialPrime,
     associated_primes,
     closure_powers_report,
@@ -20,7 +21,7 @@ from monofilt.superficial import TermSystem
 
 import oracles
 
-_NAMES = ("x", "y", "z")
+_NAMES = ("x", "y", "z", "w")
 
 
 @pytest.fixture
@@ -44,6 +45,21 @@ def test_h0_oblique_witness(kxy):
     # sat((x^2*y, x^3)) = (x^2); the single torsion monomial is x^2 itself,
     # which sits on the boundary of the generator box.
     assert h0_length(parse_ideal("x^2*y, x^3", kxy)) == 1
+
+
+def test_h0_walks_the_staircase_without_saturation_or_colength(kxy, monkeypatch):
+    # The torsion count reads sat(J)/J off J's own staircase: it builds no
+    # saturation and takes no colength.
+    def refuse(*args):
+        raise AssertionError("h0_length saturated or took a colength")
+
+    monkeypatch.setattr(MonomialIdeal, "saturation", refuse)
+    monkeypatch.setattr(MonomialIdeal, "colength", refuse)
+    I = parse_ideal("x^2, x*y", kxy)
+    assert h0_length(I**3) == 6
+    assert h0_length(parse_ideal("x, y, z", context("x", "y", "z")) ** 4) == 20
+    est = epsilon_estimate(I, 12)
+    assert [l for _, l in est.lengths] == [n * (n + 1) // 2 for n in range(1, 13)]
 
 
 def test_epsilon_mixed(kxy):
@@ -122,8 +138,15 @@ def proper_ideals(draw, max_vars=3, max_gens=4, max_exp=3):
     return ctx, ideal(ctx, draw(st.lists(exps, min_size=1, max_size=max_gens)))
 
 
-@given(proper_ideals(), st.integers(1, 2))
-@example((context("x", "y", "z"), ideal(context("x", "y", "z"), [(1, 1, 0), (0, 0, 2), (2, 0, 1)])), 1)
+_KXYZ = context("x", "y", "z")
+
+
+@given(proper_ideals(max_vars=4), st.integers(1, 2))
+@example((_KXYZ, ideal(_KXYZ, [(1, 1, 0), (0, 0, 2), (2, 0, 1)])), 1)
+@example((context("x"), ideal(context("x"), [(3,)])), 1)  # one variable: no leading axis
+# Tied last exponents, shaped like the tied Artinian ideals of the colength test.
+@example((_KXYZ, ideal(_KXYZ, [(2, 0, 0), (0, 2, 0), (0, 0, 3), (1, 0, 1), (0, 1, 1)])), 2)
+@example((_KXYZ, ideal(_KXYZ, [(2, 0, 0), (1, 1, 0)])), 2)  # z is absent from J
 def test_h0_matches_box_count(pair, power):
     # Powers carry torsion more often than the random ideals themselves.
     ctx, I = pair

@@ -12,8 +12,10 @@ z^2, w^2) to 5, the 3-variable ideal of ``closure`` to 6, where the
 certificate search asks for the most colons, and (x^3, y^3) to 24, whose
 witness chains are the longest that ``validate`` reads, the commands that
 read only the filtrations and ledgers of their sweep: ``epsilon`` of (x^2,
-x*y) to 60 and of (x*y, y*z, x*z) to 8, whose every level falls back to
-the greedy filtration, and ``cm`` of (x*z, y*z) to 12 and of (x*y, y*z,
+x*y) to 60, of (x*y, y*z, x*z) to 8, whose every level falls back to
+the greedy filtration, of (x^2*y, y^2*z, z^2*w, w^2*x) to 4 and of (x^3,
+y^3, z^3, x*y*z) to 6, whose torsion lengths walk staircases over two and
+three leading variables, and ``cm`` of (x*z, y*z) to 12 and of (x*y, y*z,
 x*z) to 6, which exits 1, and ``powers --mode both``, whose two sweeps
 share one term system, of (x^3, y^3) to 12 and (x^2, x*y) to 8, each in
 the ``json``, ``human`` and ``csv`` formats; then, in
@@ -91,6 +93,8 @@ _TRIANGLE = "vars: x,y,z ; ideal: x*y, y*z, x*z"
 _FILTRATIONS_ONLY = (
     ("epsilon", _SMALL, "60"),
     ("epsilon", _TRIANGLE, "8"),
+    ("epsilon", "vars: x,y,z,w ; ideal: x^2*y, y^2*z, z^2*w, w^2*x", "4"),
+    ("epsilon", "vars: x,y,z ; ideal: x^3, y^3, z^3, x*y*z", "6"),
     ("cm", "vars: x,y,z ; ideal: x*z, y*z", "12"),
     ("cm", _TRIANGLE, "6"),
 )
