@@ -36,15 +36,13 @@ holds the closures below max(d, 2), the lattice points of their dilations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
-from typing import Optional
 
 from .errors import DimensionLimitError
 from .powers import powers_report
-from .ring import MonomialIdeal, RingContext, box_monomials, mono_divides
+from .ring import MonomialIdeal, Record, RingContext, box_monomials, mono_divides
 from .superficial import TermSystem, check_counts, cofinality_table, terms_of
 
 _MAX_HULL_VARS = 6
@@ -73,14 +71,17 @@ def _null_vector(rows, d: int) -> "list | None":
     return [m // common for m in minors] if common else None
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(Record):
     """Exact facet description of conv(generators) + nonnegative orthant."""
 
-    ctx: RingContext
-    generators: tuple
-    facets: tuple  # tuple of (coefficient tuple, bound); all coefficients >= 0
-    vertices: tuple
+    _fields = ("ctx", "generators", "facets", "vertices")
+
+    def __init__(self, ctx: RingContext, generators: tuple, facets: tuple, vertices: tuple):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "generators", generators)
+        # tuple of (coefficient tuple, bound); all coefficients >= 0
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "vertices", vertices)
 
     def contains_point(self, point, scale: int = 1) -> bool:
         """Membership of an integer point in the ``scale``-fold dilation."""
@@ -212,12 +213,15 @@ class ClosureChain(TermSystem):
         self._head = len(self._terms)
 
 
-@dataclass(frozen=True)
-class NoetherianExponentResult:
-    exponent: Optional[int]
-    l_max: int
-    n_max: int
-    failures: tuple  # tuple of (l, first power where equality broke)
+class NoetherianExponentResult(Record):
+    _fields = ("exponent", "l_max", "n_max", "failures")
+
+    def __init__(self, exponent: int | None, l_max: int, n_max: int, failures: tuple):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "l_max", l_max)
+        object.__setattr__(self, "n_max", n_max)
+        # tuple of (l, first power where equality broke)
+        object.__setattr__(self, "failures", failures)
 
     def to_document(self) -> dict:
         return {

@@ -15,7 +15,6 @@ frontier from the same walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import getitem
 
@@ -23,6 +22,7 @@ from .errors import DegenerateIdealError, InfeasibleError
 from .ring import (
     Monomial,
     MonomialIdeal,
+    Record,
     RingContext,
     corner_axes,
     corner_masks,
@@ -31,21 +31,53 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class MonomialPrime:
+class _Ordered(Record):
+    """A record ordered by its fields in turn; only a record of its own class compares."""
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() <= other._values()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() > other._values()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() >= other._values()
+        return NotImplemented
+
+
+class MonomialPrime(_Ordered):
     """The prime generated by the variables listed in ``support`` (strictly increasing).
 
     Empty support is the zero ideal, prime because the ring is a domain.
     Primes are ordered by support.
     """
 
-    support: tuple
+    _fields = ("support",)
 
-    def __post_init__(self):
-        if not isinstance(self.support, tuple):
-            object.__setattr__(self, "support", tuple(self.support))
-        if list(self.support) != sorted(set(self.support)):
+    def __init__(self, support: tuple):
+        support = tuple(support)
+        if list(support) != sorted(set(support)):
             raise ValueError("prime support must be strictly increasing variable indices")
+        object.__setattr__(self, "support", support)
+
+    # Written out, not inherited: primes key every ledger.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.support == other.support
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.support,))
 
     def contains_prime(self, other: "MonomialPrime") -> bool:
         return set(other.support) <= set(self.support)
@@ -96,11 +128,14 @@ def colon_prime_support(masks, w: Monomial) -> "tuple | None":
     return tuple(units) if covered & full == full else None
 
 
-@dataclass(frozen=True, order=True)
-class IrreducibleComponent:
+class IrreducibleComponent(_Ordered):
     """The ideal of pure powers x_i^(a_i) for i in the domain; components order by bounds."""
 
-    bounds: tuple  # sorted tuple of (variable index, positive exponent)
+    _fields = ("bounds",)
+
+    def __init__(self, bounds: tuple):
+        # sorted tuple of (variable index, positive exponent)
+        object.__setattr__(self, "bounds", bounds)
 
     def as_ideal(self, ctx: RingContext) -> MonomialIdeal:
         gens = []

@@ -10,11 +10,10 @@ limsup proxy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime, check_nonzero_module
-from .ring import MonomialIdeal, staircase
+from .ring import MonomialIdeal, Record, staircase
 from .superficial import TermSystem, check_counts, check_filters_powers, powers_of
 
 
@@ -37,15 +36,26 @@ def h0_length(J: MonomialIdeal) -> int:
     return sum(v * (top - floor) for v, top, floor in cells if None not in (top, floor) and top > floor)
 
 
-@dataclass(frozen=True)
-class EpsilonEstimate:
-    ideal: MonomialIdeal
-    n_max: int
-    dim: int
-    lengths: tuple  # tuple of (n, length)
-    normalized: tuple  # tuple of (n, d! * length / n^dim)
-    window: int
-    estimate: float
+class EpsilonEstimate(Record):
+    _fields = ("ideal", "n_max", "dim", "lengths", "normalized", "window", "estimate")
+
+    def __init__(
+        self,
+        ideal: MonomialIdeal,
+        n_max: int,
+        dim: int,
+        lengths: tuple,
+        normalized: tuple,
+        window: int,
+        estimate: float,
+    ):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "lengths", lengths)  # tuple of (n, length)
+        object.__setattr__(self, "normalized", normalized)  # tuple of (n, d! * length / n^dim)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "estimate", estimate)
 
     def to_document(self) -> dict:
         return {
@@ -90,12 +100,14 @@ def epsilon_estimate(source: "MonomialIdeal | TermSystem", n_max: int) -> Epsilo
     )
 
 
-@dataclass(frozen=True)
-class BoundCheckRow:
-    n: int
-    length: int
-    maximal_multiplicity: int
-    ok: bool
+class BoundCheckRow(Record):
+    _fields = ("n", "length", "maximal_multiplicity", "ok")
+
+    def __init__(self, n: int, length: int, maximal_multiplicity: int, ok: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "maximal_multiplicity", maximal_multiplicity)
+        object.__setattr__(self, "ok", ok)
 
 
 def filtration_bound_check(source: "MonomialIdeal | TermSystem", n_max: int, report) -> tuple:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter, getitem, itemgetter
 
@@ -26,6 +25,7 @@ from .errors import GluePreconditionError
 from .ring import (
     Monomial,
     MonomialIdeal,
+    Record,
     corner_axes,
     corner_masks,
     grlex_key,
@@ -35,12 +35,14 @@ from .ring import (
 from .superficial import TermSystem, check_counts, check_filters_powers, powers_of
 
 
-@dataclass(frozen=True)
-class PrimeFiltration:
+class PrimeFiltration(Record):
     """Base ideal plus the ordered (witness, prime) steps of a certified chain."""
 
-    base: MonomialIdeal
-    steps: tuple  # tuple of (Monomial, MonomialPrime)
+    _fields = ("base", "steps")
+
+    def __init__(self, base: MonomialIdeal, steps: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "steps", steps)  # tuple of (Monomial, MonomialPrime)
 
     def _supports(self):
         # Primes are counted by their support tuples, which hash in C.
@@ -55,11 +57,13 @@ class PrimeFiltration:
         return Counter({MonomialPrime(s): c for s, c in Counter(self._supports()).items()})
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    step: "int | None" = None
-    reason: "str | None" = None
+class ValidationResult(Record):
+    _fields = ("ok", "step", "reason")
+
+    def __init__(self, ok: bool, step: "int | None" = None, reason: "str | None" = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -303,14 +307,17 @@ def localize_factors(filtration: PrimeFiltration, f: Monomial) -> Counter:
     return survived
 
 
-@dataclass(frozen=True)
-class CmCertificate:
+class CmCertificate(Record):
     """Element f plus per-power verdicts that localized factors are top-dimensional."""
 
-    element: Monomial
-    minh_primes: tuple
-    quotient_dim: int
-    per_n: tuple  # tuple of (n, surviving ledger as sorted tuple, verdict bool)
+    _fields = ("element", "minh_primes", "quotient_dim", "per_n")
+
+    def __init__(self, element: Monomial, minh_primes: tuple, quotient_dim: int, per_n: tuple):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "minh_primes", minh_primes)
+        object.__setattr__(self, "quotient_dim", quotient_dim)
+        # tuple of (n, surviving ledger as sorted tuple, verdict bool)
+        object.__setattr__(self, "per_n", per_n)
 
     def all_pass(self) -> bool:
         return all(ok for _, _, ok in self.per_n)

@@ -41,13 +41,11 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .decomposition import associated_primes
 from .errors import CertificateError
 from .filtration import PrimeFiltration, glue, naive_prime_filtration, validate
-from .ring import Monomial, MonomialIdeal, RingContext, ideal, zero_ideal
+from .ring import Monomial, MonomialIdeal, Record, RingContext, ideal, zero_ideal
 from .superficial import (
     ORDER_MAX,
     CyclicFilteredModule,
@@ -121,7 +119,7 @@ class FiltrationEngine:
             self._certs[J] = search_certificate(self.ts, J, self.order_max, self.verify_to)
         return self._certs[J]
 
-    def root_certificate(self) -> Optional[SuperficialCertificate]:
+    def root_certificate(self) -> SuperficialCertificate | None:
         cert = self.certificate(zero_ideal(self.ctx))
         return cert if isinstance(cert, SuperficialCertificate) else None
 
@@ -188,14 +186,19 @@ def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
     return FiltrationEngine(module.filtration_ideal).filtration(n, module.annihilator)[0]
 
 
-@dataclass(frozen=True)
-class PowerRecord:
-    n: int
-    primes: tuple
-    ledger: tuple  # sorted tuple of (MonomialPrime, multiplicity)
-    fallback: bool
-    steps: int
-    terms: TermSystem = field(repr=False, compare=False)  # the sweep's term system
+class PowerRecord(Record):
+    # Not ``terms``, the sweep's term system: it is not compared, hashed or shown.
+    _fields = ("n", "primes", "ledger", "fallback", "steps")
+
+    def __init__(
+        self, n: int, primes: tuple, ledger: tuple, fallback: bool, steps: int, terms: TermSystem
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "ledger", ledger)  # sorted tuple of (MonomialPrime, multiplicity)
+        object.__setattr__(self, "fallback", fallback)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def ass(self) -> tuple:
@@ -203,21 +206,53 @@ class PowerRecord:
         return tuple(self.terms.memo(associated_primes, self.n))
 
 
-@dataclass(frozen=True)
-class PowersReport:
-    ctx: RingContext
-    ideal: MonomialIdeal
-    mode: str
-    n_max: int
-    window: int
-    records: tuple
-    primes_union: tuple
-    stabilization: dict
-    growth: tuple  # tuple of (MonomialPrime, exponent or None, points used)
-    superficial: Optional[SuperficialCertificate]
-    fallback_nodes: tuple
-    filtrations: dict  # n -> PrimeFiltration; not serialized
-    engine: Optional[FiltrationEngine]  # None in naive mode; not serialized
+class PowersReport(Record):
+    _fields = (
+        "ctx",
+        "ideal",
+        "mode",
+        "n_max",
+        "window",
+        "records",
+        "primes_union",
+        "stabilization",
+        "growth",
+        "superficial",
+        "fallback_nodes",
+        "filtrations",
+        "engine",
+    )
+
+    def __init__(
+        self,
+        ctx: RingContext,
+        ideal: MonomialIdeal,
+        mode: str,
+        n_max: int,
+        window: int,
+        records: tuple,
+        primes_union: tuple,
+        stabilization: dict,
+        growth: tuple,
+        superficial: SuperficialCertificate | None,
+        fallback_nodes: tuple,
+        filtrations: dict,
+        engine: FiltrationEngine | None,
+    ):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "primes_union", primes_union)
+        object.__setattr__(self, "stabilization", stabilization)
+        # tuple of (MonomialPrime, exponent or None, points used)
+        object.__setattr__(self, "growth", growth)
+        object.__setattr__(self, "superficial", superficial)
+        object.__setattr__(self, "fallback_nodes", fallback_nodes)
+        object.__setattr__(self, "filtrations", filtrations)  # n -> PrimeFiltration; not serialized
+        object.__setattr__(self, "engine", engine)  # None in naive mode; not serialized
 
     def ledger_of(self, n: int) -> Counter:
         for record in self.records:
@@ -305,7 +340,7 @@ def filtration_digest(filtration: PrimeFiltration, witness_text: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def fit_growth_exponent(points) -> Optional[float]:
+def fit_growth_exponent(points) -> float | None:
     """Least-squares slope of log(multiplicity) against log(n).
 
     ``points`` holds (n, multiplicity) pairs with positive multiplicities;
@@ -431,15 +466,26 @@ def powers_report(
     )
 
 
-@dataclass(frozen=True)
-class AssStabilityReport:
-    ctx: RingContext
-    ideal: MonomialIdeal
-    n_max: int
-    window: int
-    per_n: tuple  # tuple of (n, tuple of primes)
-    union: tuple
-    onset: Optional[int]
+class AssStabilityReport(Record):
+    _fields = ("ctx", "ideal", "n_max", "window", "per_n", "union", "onset")
+
+    def __init__(
+        self,
+        ctx: RingContext,
+        ideal: MonomialIdeal,
+        n_max: int,
+        window: int,
+        per_n: tuple,
+        union: tuple,
+        onset: int | None,
+    ):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "per_n", per_n)  # tuple of (n, tuple of primes)
+        object.__setattr__(self, "union", union)
+        object.__setattr__(self, "onset", onset)
 
     def to_document(self) -> dict:
         ctx = self.ctx

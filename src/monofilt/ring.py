@@ -17,10 +17,9 @@ and every other operation sorts and prunes its derived monomials unchecked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import product as _cartesian
 from operator import add, itemgetter, le, neg
-from typing import Iterable, Union
 
 from .errors import IdealSyntaxError, InfiniteLengthError
 
@@ -67,23 +66,64 @@ def mono_support(e: Monomial) -> tuple:
     return tuple(i for i, v in enumerate(e) if v)
 
 
-@dataclass(frozen=True)
-class RingContext:
+class Record:
+    """An immutable value, equal to a record of its own class with equal fields.
+
+    A subclass names its fields in ``_fields`` and sets each once, in its own
+    ``__init__``, through ``object.__setattr__``.  They are compared, hashed
+    and shown in that order, and the hash is the hash of their tuple.  An
+    attribute set there but not named stays out of all three.  Records are
+    written by hand, not generated at import, because every command pays
+    for building its classes.
+    """
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RingContext(Record):
     """The ambient polynomial ring, fixed by an ordered list of variable names."""
 
-    variable_names: tuple
+    _fields = ("variable_names",)
 
-    def __post_init__(self):
-        names = self.variable_names
-        if not isinstance(names, tuple):
-            object.__setattr__(self, "variable_names", tuple(names))
-            names = self.variable_names
+    def __init__(self, variable_names: tuple):
+        names = tuple(variable_names)
         if len(names) < 1:
             raise ValueError("a ring needs at least one variable")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         if any(not n for n in names):
             raise ValueError("variable names must be nonempty")
+        object.__setattr__(self, "variable_names", names)
+
+    # Written out, not inherited: rings are compared by every ideal operation.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.variable_names == other.variable_names
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.variable_names,))
 
     @property
     def num_vars(self) -> int:
@@ -198,8 +238,7 @@ def minimal_generators(ctx: RingContext, gens: Iterable[Monomial]) -> tuple:
     return _canonical(_checked(g, ctx.num_vars) for g in gens)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal held by its minimal generators.
 
     The zero ideal has no generators; the unit ideal is generated by the unit
@@ -207,12 +246,20 @@ class MonomialIdeal:
     here are canonical, so ``==`` is ideal equality.
     """
 
-    ctx: RingContext
-    generators: tuple
+    _fields = ("ctx", "generators")
 
-    def __post_init__(self):
-        if not isinstance(self.generators, tuple):
-            object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(self, ctx: RingContext, generators: tuple):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "generators", tuple(generators))
+
+    # Written out, not inherited: ideals key the memo tables of every sweep.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ctx, self.generators) == (other.ctx, other.generators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ctx, self.generators))
 
     # -- structure ---------------------------------------------------------
 
@@ -272,7 +319,7 @@ class MonomialIdeal:
         w = _checked(w, self.ctx.num_vars)
         return MonomialIdeal(self.ctx, _canonical(mono_colon(g, w) for g in self.generators))
 
-    def colon(self, other: Union["MonomialIdeal", Monomial]) -> "MonomialIdeal":
+    def colon(self, other: "MonomialIdeal | Monomial") -> "MonomialIdeal":
         """(self : other); colon by an ideal intersects the colons by its generators."""
         if isinstance(other, tuple):
             return self.colon_monomial(other)

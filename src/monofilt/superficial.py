@@ -71,12 +71,11 @@ validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .ring import (
     Monomial,
     MonomialIdeal,
+    Record,
     RingContext,
     _canonical,
     _checked,
@@ -92,8 +91,7 @@ C_MAX = 6
 ORDER_MAX = 3
 
 
-@dataclass(frozen=True)
-class CyclicFilteredModule:
+class CyclicFilteredModule(Record):
     """R/annihilator filtered by the images of the terms T(n) of the filtration ideal.
 
     ``filtration_ideal`` is I, whose terms are its powers, or a term system of
@@ -101,16 +99,18 @@ class CyclicFilteredModule:
     every function here reads it through :func:`terms_of`.
     """
 
-    annihilator: MonomialIdeal
-    filtration_ideal: "MonomialIdeal | TermSystem"
+    _fields = ("annihilator", "filtration_ideal")
+
+    def __init__(self, annihilator: MonomialIdeal, filtration_ideal: "MonomialIdeal | TermSystem"):
+        object.__setattr__(self, "annihilator", annihilator)
+        object.__setattr__(self, "filtration_ideal", filtration_ideal)
 
     @property
     def ctx(self) -> RingContext:
         return self.annihilator.ctx
 
 
-@dataclass(frozen=True)
-class SuperficialCertificate:
+class SuperficialCertificate(Record):
     """An element x of T(order) outside the annihilator J, superficial past c.
 
     The colon identity holds for colon_threshold <= n <= verified_to and the
@@ -120,11 +120,16 @@ class SuperficialCertificate:
     every level.
     """
 
-    element: Monomial
-    order: int
-    c: int
-    colon_threshold: int
-    verified_to: int
+    _fields = ("element", "order", "c", "colon_threshold", "verified_to")
+
+    def __init__(
+        self, element: Monomial, order: int, c: int, colon_threshold: int, verified_to: int
+    ):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "colon_threshold", colon_threshold)
+        object.__setattr__(self, "verified_to", verified_to)
 
     def serialize(self, ctx: RingContext) -> dict:
         return {
@@ -136,8 +141,7 @@ class SuperficialCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SpliceCertificate:
+class SpliceCertificate(Record):
     """An element x of T(order) outside the annihilator J, verified for splicing.
 
     (T(n) + J) : x = (J : x) + T(n - order) holds for colon_threshold <= n <=
@@ -147,10 +151,13 @@ class SpliceCertificate:
     needs; the defining condition of a superficial element is not claimed.
     """
 
-    element: Monomial
-    order: int
-    colon_threshold: int
-    verified_to: int
+    _fields = ("element", "order", "colon_threshold", "verified_to")
+
+    def __init__(self, element: Monomial, order: int, colon_threshold: int, verified_to: int):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "colon_threshold", colon_threshold)
+        object.__setattr__(self, "verified_to", verified_to)
 
 
 class TermSystem:
@@ -296,7 +303,7 @@ def _colon_identity_holds(ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int,
 
 def colon_threshold_for(
     ts: TermSystem, J: MonomialIdeal, x: Monomial, m: int, n_max: int
-) -> Optional[int]:
+) -> int | None:
     """Least N with (T(n) + J) : x = (J : x) + T(n - m) for all N <= n <= n_max.
 
     The scan runs down and stops at the first level that fails; the result
@@ -385,7 +392,7 @@ def find_superficial(
     module: CyclicFilteredModule,
     order_max: int = ORDER_MAX,
     n_max: int = 24,
-) -> Optional[SuperficialCertificate]:
+) -> SuperficialCertificate | None:
     """Search for a monomial superficial element for the module.
 
     Returns None when no monomial candidate up to the given order verifies;
@@ -402,7 +409,7 @@ def find_superficial(
 
 def colon_threshold(
     module: CyclicFilteredModule, x: Monomial, m: int, n_max: int
-) -> Optional[int]:
+) -> int | None:
     """The threshold scan of :func:`colon_threshold_for` on the module's terms.
 
     The terms are the powers of I or those of the module's term system; x

@@ -16,7 +16,9 @@ term system other than the powers of I by ``powers_of``, filtrations whose
 bases are not the powers of I by ``check_filters_powers``, and the zero
 module R/J by ``check_nonzero_module``.
 
-Importing the command line loads neither ``fractions`` nor ``decimal``.
+Importing the command line, under ``python -S`` so that no site hook
+preloads anything, loads none of ``fractions``, ``decimal``,
+``dataclasses``, ``inspect`` or ``typing``.
 """
 
 import ast
@@ -86,13 +88,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# Modules every command would pay for at start-up.  The package computes in
+# integers, and fractions would also load decimal.  Its records are written by
+# hand: dataclasses loads inspect, and building each class execs its methods.
+# Its annotations are strings, so typing is not needed for them.
+_NOT_AT_START = ("fractions", "decimal", "dataclasses", "inspect", "typing")
+
+
 def test_cli_imports_no_rational_arithmetic():
-    # The package computes in integers; importing fractions would also load
-    # decimal at the start of every command.
-    probe = "import sys, monofilt.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    probe = f"import sys, monofilt.cli; print(sorted(set({_NOT_AT_START!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert done.stdout.strip() == "[]", done.stderr
+    command = [sys.executable, "-S", "-c", probe]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.stdout.strip() == "[]", done.stdout + done.stderr
 
 
 def test_check_catches_unused_and_bare_noqa():
