@@ -36,7 +36,7 @@ from .closure import (
 from .epsilon import epsilon_estimate, filtration_bound_check
 from .errors import CertificateError, MonofiltError
 from .filtration import cm_certificate
-from .powers import WINDOW, PowersReport, ass_stability, powers_report
+from .powers import WINDOW, ass_stability, powers_report
 from .ring import parse_problem, zero_ideal
 from .superficial import C_MAX, ORDER_MAX, CyclicFilteredModule, TermSystem, find_superficial
 
@@ -182,23 +182,22 @@ def cmd_powers(args, ctx, I):
     # both sweeps of --mode both read the powers from one term system
     terms = TermSystem(I)
 
-    def documents(render):
-        # one sweep per mode, each dropped once it is rendered
-        options = dict(window=args.window, order_max=args.order_max)
-        return {mode: render(powers_report(terms, args.nmax, mode, **options)) for mode in modes}
+    def sweep(mode):
+        return powers_report(terms, args.nmax, mode, window=args.window, order_max=args.order_max)
 
     def body():
-        docs = documents(PowersReport.to_document)
+        # one sweep per mode, each dropped once it is rendered
+        docs = {mode: sweep(mode).to_document() for mode in modes}
         return docs if args.mode == "both" else docs[args.mode]
 
     def human():
         lines = [f"monofilt {__version__} powers"]
-        for doc in documents(PowersReport.summary).values():
-            lines.extend(_human_powers(doc))
+        for mode in modes:
+            lines.extend(_human_powers(sweep(mode).summary()))
         return lines
 
-    # the CSV keeps the theorem table when both modes run
-    return body, lambda: _ledger_table(documents(PowersReport.summary)[modes[-1]]), human
+    # the CSV keeps the theorem table alone when both modes run, so only that mode is swept
+    return body, lambda: _ledger_table(sweep(modes[-1]).summary()), human
 
 
 # -- ass ----------------------------------------------------------------------

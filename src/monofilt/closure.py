@@ -42,7 +42,7 @@ from math import gcd, prod
 
 from .errors import DimensionLimitError
 from .powers import powers_report
-from .ring import MonomialIdeal, Record, RingContext, box_monomials, mono_divides
+from .ring import MonomialIdeal, Record, box_monomials, mono_divides
 from .superficial import TermSystem, check_counts, cofinality_table, terms_of
 
 _MAX_HULL_VARS = 6
@@ -74,14 +74,8 @@ def _null_vector(rows, d: int) -> "list | None":
 class NewtonPolyhedron(Record):
     """Exact facet description of conv(generators) + nonnegative orthant."""
 
+    # facets: tuple of (coefficient tuple, bound); all coefficients >= 0
     _fields = ("ctx", "generators", "facets", "vertices")
-
-    def __init__(self, ctx: RingContext, generators: tuple, facets: tuple, vertices: tuple):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "generators", generators)
-        # tuple of (coefficient tuple, bound); all coefficients >= 0
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "vertices", vertices)
 
     def contains_point(self, point, scale: int = 1) -> bool:
         """Membership of an integer point in the ``scale``-fold dilation."""
@@ -214,14 +208,8 @@ class ClosureChain(TermSystem):
 
 
 class NoetherianExponentResult(Record):
+    # failures: tuple of (l, first power where equality broke)
     _fields = ("exponent", "l_max", "n_max", "failures")
-
-    def __init__(self, exponent: int | None, l_max: int, n_max: int, failures: tuple):
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "l_max", l_max)
-        object.__setattr__(self, "n_max", n_max)
-        # tuple of (l, first power where equality broke)
-        object.__setattr__(self, "failures", failures)
 
     def to_document(self) -> dict:
         return {

@@ -131,11 +131,7 @@ def colon_prime_support(masks, w: Monomial) -> "tuple | None":
 class IrreducibleComponent(_Ordered):
     """The ideal of pure powers x_i^(a_i) for i in the domain; components order by bounds."""
 
-    _fields = ("bounds",)
-
-    def __init__(self, bounds: tuple):
-        # sorted tuple of (variable index, positive exponent)
-        object.__setattr__(self, "bounds", bounds)
+    _fields = ("bounds",)  # sorted tuple of (variable index, positive exponent)
 
     def as_ideal(self, ctx: RingContext) -> MonomialIdeal:
         gens = []

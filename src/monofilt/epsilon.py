@@ -37,25 +37,8 @@ def h0_length(J: MonomialIdeal) -> int:
 
 
 class EpsilonEstimate(Record):
+    # lengths: tuple of (n, length); normalized: tuple of (n, d! * length / n^dim)
     _fields = ("ideal", "n_max", "dim", "lengths", "normalized", "window", "estimate")
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        n_max: int,
-        dim: int,
-        lengths: tuple,
-        normalized: tuple,
-        window: int,
-        estimate: float,
-    ):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "lengths", lengths)  # tuple of (n, length)
-        object.__setattr__(self, "normalized", normalized)  # tuple of (n, d! * length / n^dim)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "estimate", estimate)
 
     def to_document(self) -> dict:
         return {
@@ -102,12 +85,6 @@ def epsilon_estimate(source: "MonomialIdeal | TermSystem", n_max: int) -> Epsilo
 
 class BoundCheckRow(Record):
     _fields = ("n", "length", "maximal_multiplicity", "ok")
-
-    def __init__(self, n: int, length: int, maximal_multiplicity: int, ok: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "maximal_multiplicity", maximal_multiplicity)
-        object.__setattr__(self, "ok", ok)
 
 
 def filtration_bound_check(source: "MonomialIdeal | TermSystem", n_max: int, report) -> tuple:

@@ -38,11 +38,7 @@ from .superficial import TermSystem, check_counts, check_filters_powers, powers_
 class PrimeFiltration(Record):
     """Base ideal plus the ordered (witness, prime) steps of a certified chain."""
 
-    _fields = ("base", "steps")
-
-    def __init__(self, base: MonomialIdeal, steps: tuple):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "steps", steps)  # tuple of (Monomial, MonomialPrime)
+    _fields = ("base", "steps")  # steps: tuple of (Monomial, MonomialPrime)
 
     def _supports(self):
         # Primes are counted by their support tuples, which hash in C.
@@ -61,9 +57,7 @@ class ValidationResult(Record):
     _fields = ("ok", "step", "reason")
 
     def __init__(self, ok: bool, step: "int | None" = None, reason: "str | None" = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(ok, step, reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -310,14 +304,8 @@ def localize_factors(filtration: PrimeFiltration, f: Monomial) -> Counter:
 class CmCertificate(Record):
     """Element f plus per-power verdicts that localized factors are top-dimensional."""
 
+    # per_n: tuple of (n, surviving ledger as sorted tuple, verdict bool)
     _fields = ("element", "minh_primes", "quotient_dim", "per_n")
-
-    def __init__(self, element: Monomial, minh_primes: tuple, quotient_dim: int, per_n: tuple):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "minh_primes", minh_primes)
-        object.__setattr__(self, "quotient_dim", quotient_dim)
-        # tuple of (n, surviving ledger as sorted tuple, verdict bool)
-        object.__setattr__(self, "per_n", per_n)
 
     def all_pass(self) -> bool:
         return all(ok for _, _, ok in self.per_n)

@@ -187,17 +187,14 @@ def theorem_filtration(module: CyclicFilteredModule, n: int) -> PrimeFiltration:
 
 
 class PowerRecord(Record):
-    # Not ``terms``, the sweep's term system: it is not compared, hashed or shown.
+    # ledger: sorted tuple of (MonomialPrime, multiplicity).  Not ``terms``, the
+    # sweep's term system: it is not compared, hashed or shown.
     _fields = ("n", "primes", "ledger", "fallback", "steps")
 
     def __init__(
         self, n: int, primes: tuple, ledger: tuple, fallback: bool, steps: int, terms: TermSystem
     ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "ledger", ledger)  # sorted tuple of (MonomialPrime, multiplicity)
-        object.__setattr__(self, "fallback", fallback)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(n, primes, ledger, fallback, steps)
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -216,43 +213,12 @@ class PowersReport(Record):
         "records",
         "primes_union",
         "stabilization",
-        "growth",
+        "growth",  # tuple of (MonomialPrime, exponent or None, points used)
         "superficial",
         "fallback_nodes",
-        "filtrations",
-        "engine",
+        "filtrations",  # n -> PrimeFiltration; not serialized
+        "engine",  # None in naive mode; not serialized
     )
-
-    def __init__(
-        self,
-        ctx: RingContext,
-        ideal: MonomialIdeal,
-        mode: str,
-        n_max: int,
-        window: int,
-        records: tuple,
-        primes_union: tuple,
-        stabilization: dict,
-        growth: tuple,
-        superficial: SuperficialCertificate | None,
-        fallback_nodes: tuple,
-        filtrations: dict,
-        engine: FiltrationEngine | None,
-    ):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "primes_union", primes_union)
-        object.__setattr__(self, "stabilization", stabilization)
-        # tuple of (MonomialPrime, exponent or None, points used)
-        object.__setattr__(self, "growth", growth)
-        object.__setattr__(self, "superficial", superficial)
-        object.__setattr__(self, "fallback_nodes", fallback_nodes)
-        object.__setattr__(self, "filtrations", filtrations)  # n -> PrimeFiltration; not serialized
-        object.__setattr__(self, "engine", engine)  # None in naive mode; not serialized
 
     def ledger_of(self, n: int) -> Counter:
         for record in self.records:
@@ -467,25 +433,8 @@ def powers_report(
 
 
 class AssStabilityReport(Record):
+    # per_n: tuple of (n, tuple of primes)
     _fields = ("ctx", "ideal", "n_max", "window", "per_n", "union", "onset")
-
-    def __init__(
-        self,
-        ctx: RingContext,
-        ideal: MonomialIdeal,
-        n_max: int,
-        window: int,
-        per_n: tuple,
-        union: tuple,
-        onset: int | None,
-    ):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "per_n", per_n)  # tuple of (n, tuple of primes)
-        object.__setattr__(self, "union", union)
-        object.__setattr__(self, "onset", onset)
 
     def to_document(self) -> dict:
         ctx = self.ctx

@@ -69,15 +69,39 @@ def mono_support(e: Monomial) -> tuple:
 class Record:
     """An immutable value, equal to a record of its own class with equal fields.
 
-    A subclass names its fields in ``_fields`` and sets each once, in its own
-    ``__init__``, through ``object.__setattr__``.  They are compared, hashed
-    and shown in that order, and the hash is the hash of their tuple.  An
-    attribute set there but not named stays out of all three.  Records are
-    written by hand, not generated at import, because every command pays
-    for building its classes.
+    A subclass names its fields in ``_fields``; they are compared, hashed
+    and shown in that order, and the hash is the hash of their tuple.  The
+    constructor here takes exactly those fields, each once, positionally or
+    by keyword, and stores them unchanged.  Five records write their own:
+    :class:`MonomialIdeal`, built by every ring operation, stores its two
+    fields directly; :class:`RingContext` and
+    :class:`~monofilt.decomposition.MonomialPrime` check their input;
+    :class:`~monofilt.filtration.ValidationResult` gives defaults; and
+    :class:`~monofilt.powers.PowerRecord` keeps its term system, an attribute
+    outside ``_fields``, so it is not compared, hashed or shown.  Nothing is
+    generated at import, because every command pays for building its
+    classes.
     """
 
     _fields = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            # the fields after the positional ones, in order; what stays is unknown or doubled
+            values += tuple([named.pop(f) for f in fields[len(values) :] if f in named])
+        if len(values) != len(fields) or named:
+            raise TypeError(
+                f"{self.__class__.__qualname__}({', '.join(fields)}) takes each field once, by"
+                f" position or keyword; got {len(values)} values and leftover keywords {sorted(named)}"
+            )
+        # Field by field, not one update of ``__dict__``: reading ``__dict__``
+        # moves the fields out of the object's inline values into a dict, and
+        # Python 3.11 then reads each field three to four times slower (25 to 33
+        # against 7 ns); built that way, records cost every workload 1-2 % of
+        # ``wall_ref_s`` (BENCH_34.json).
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -133,6 +157,8 @@ class RingContext(Record):
         return (0,) * self.num_vars
 
     def variable(self, index: int) -> Monomial:
+        if not 0 <= index < self.num_vars:
+            raise ValueError(f"variable index {index} is out of range for {self.num_vars} variables")
         e = [0] * self.num_vars
         e[index] = 1
         return tuple(e)
@@ -141,6 +167,8 @@ class RingContext(Record):
         """Build a monomial from keyword exponents, e.g. ``ctx.monomial(x=2, y=1)``."""
         e = [0] * self.num_vars
         for name, value in exponents.items():
+            if name not in self.variable_names:
+                raise ValueError(f"unknown variable name '{name}'")
             e[self.variable_names.index(name)] = value
         return tuple(e)
 

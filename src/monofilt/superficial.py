@@ -101,10 +101,6 @@ class CyclicFilteredModule(Record):
 
     _fields = ("annihilator", "filtration_ideal")
 
-    def __init__(self, annihilator: MonomialIdeal, filtration_ideal: "MonomialIdeal | TermSystem"):
-        object.__setattr__(self, "annihilator", annihilator)
-        object.__setattr__(self, "filtration_ideal", filtration_ideal)
-
     @property
     def ctx(self) -> RingContext:
         return self.annihilator.ctx
@@ -121,15 +117,6 @@ class SuperficialCertificate(Record):
     """
 
     _fields = ("element", "order", "c", "colon_threshold", "verified_to")
-
-    def __init__(
-        self, element: Monomial, order: int, c: int, colon_threshold: int, verified_to: int
-    ):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "colon_threshold", colon_threshold)
-        object.__setattr__(self, "verified_to", verified_to)
 
     def serialize(self, ctx: RingContext) -> dict:
         return {
@@ -152,12 +139,6 @@ class SpliceCertificate(Record):
     """
 
     _fields = ("element", "order", "colon_threshold", "verified_to")
-
-    def __init__(self, element: Monomial, order: int, colon_threshold: int, verified_to: int):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "colon_threshold", colon_threshold)
-        object.__setattr__(self, "verified_to", verified_to)
 
 
 class TermSystem:
@@ -326,10 +307,9 @@ def colon_threshold_for(
 def _lies_in_term(ts: TermSystem, x: Monomial, m: int) -> bool:
     # T(m) = I^(m - b) * T(b) with b = min(m, h) (module docstring), so x
     # lies in T(m) when some generator of T(b) times m - b generators of I
-    # divides x.  The
-    # partial products that divide x are kept, only the minimal ones, and the
-    # walk stops when none is left: T(m) is never built, and a huge order
-    # costs at most deg(x) + 1 rounds.
+    # divides x.  The partial products that divide x are kept, only the
+    # minimal ones, and the walk stops when none is left: T(m) is never
+    # built, and a huge order costs at most deg(x) + 1 rounds.
     b = min(m, ts._head - 1)
     level = [t for t in ts.term(b).generators if mono_divides(t, x)]
     for _ in range(b, m):

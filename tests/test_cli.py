@@ -490,3 +490,17 @@ def test_ass_huge_exponents(tmp_path):
     )
     assert code == 0
     assert text == 'n,prime\n1,"x,y"\n2,"x,y"\n3,"x,y"\n'
+
+
+def test_powers_both_modes_csv_sweeps_only_the_theorem_mode(tmp_path, monkeypatch):
+    # The CSV of --mode both prints the theorem table alone.
+    modes = []
+    original = cli.powers_report
+    monkeypatch.setattr(
+        cli, "powers_report", lambda *a, **k: modes.append(a[2]) or original(*a, **k)
+    )
+    code, text = run(tmp_path, "powers", "--mode", "both", "--ideal", IDEAL, "--nmax", "4",
+                     "--format", "csv")
+    assert code == 0
+    assert modes == ["theorem"]
+    assert text.startswith("n,prime,multiplicity\n1,x,1\n")

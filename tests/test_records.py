@@ -21,7 +21,7 @@ from monofilt.decomposition import IrreducibleComponent, MonomialPrime
 from monofilt.epsilon import BoundCheckRow, EpsilonEstimate
 from monofilt.filtration import CmCertificate, PrimeFiltration, ValidationResult
 from monofilt.powers import AssStabilityReport, PowerRecord, PowersReport
-from monofilt.ring import MonomialIdeal, RingContext, context, ideal, zero_ideal
+from monofilt.ring import MonomialIdeal, Record, RingContext, context, ideal, zero_ideal
 from monofilt.superficial import (
     CyclicFilteredModule,
     SpliceCertificate,
@@ -216,3 +216,39 @@ def test_power_record_ignores_its_term_system():
     assert PowerRecord(**other) == PowerRecord(**RECORD)
     assert hash(PowerRecord(**other)) == hash(PowerRecord(**RECORD))
     assert PowerRecord(**other).terms is other["terms"]
+
+
+# Records that write their own constructor, each for its reason: ideals are
+# built by every ring operation, rings and primes check their input,
+# validation results have defaults and power records keep a field outside
+# ``_fields``.  Every other record takes ``Record.__init__``.
+OWN_CONSTRUCTOR = {RingContext, MonomialIdeal, MonomialPrime, ValidationResult, PowerRecord}
+
+
+@CLASSES
+def test_constructors_take_each_field_exactly_once(cls):
+    kwargs = SAMPLES[cls]
+    first, *rest = kwargs
+    builds = {
+        "missing": lambda: cls(**{f: kwargs[f] for f in rest}),
+        "extra positional": lambda: cls(*kwargs.values(), None),
+        "unknown keyword": lambda: cls(**kwargs, unknown=None),
+        "doubled": lambda: cls(kwargs[first], **kwargs),
+    }
+    for case, build in builds.items():
+        with pytest.raises(TypeError) as caught:
+            build()
+        message = str(caught.value)
+        assert cls.__name__ in message, case
+        if cls not in OWN_CONSTRUCTOR:
+            assert all(f in message for f in kwargs), case
+
+
+def test_only_the_listed_records_write_a_constructor():
+    records, stack = set(), Record.__subclasses__()
+    while stack:
+        cls = stack.pop()
+        records.add(cls)
+        stack.extend(cls.__subclasses__())
+    assert set(SAMPLES) <= records
+    assert {cls for cls in records if "__init__" in vars(cls)} == OWN_CONSTRUCTOR

@@ -11,6 +11,7 @@ from monofilt import (
     zero_ideal,
 )
 from monofilt import ring
+from monofilt.decomposition import MonomialPrime
 from monofilt.ring import grlex_key, minimal_generators
 from monofilt.superficial import TermSystem
 
@@ -85,6 +86,31 @@ def test_parse_problem_refuses_bad_exponents(generator, message, position):
 def test_ring_context_refuses_bad_names(names, message):
     with pytest.raises(ValueError, match=message):
         ring.RingContext(names)
+
+
+def test_monomial_and_variable_build_exponent_vectors(kxy):
+    assert kxy.monomial(x=2, y=1) == (2, 1) and kxy.monomial() == (0, 0)
+    assert kxy.variable(0) == (1, 0) and kxy.variable(1) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda ctx: ctx.monomial(q=1), "unknown variable name 'q'"),
+        (lambda ctx: ctx.monomial(x=1, xy=2), "unknown variable name 'xy'"),
+        (lambda ctx: ctx.variable(2), "variable index 2 is out of range for 2 variables"),
+        (lambda ctx: ctx.variable(-1), "variable index -1 is out of range for 2 variables"),
+        (
+            lambda ctx: MonomialPrime((2,)).as_ideal(ctx),
+            "variable index 2 is out of range for 2 variables",
+        ),
+    ],
+    ids=["unknown-name", "unknown-second-name", "index-past-end", "negative-index", "prime"],
+)
+def test_monomial_and_variable_refuse_what_the_ring_lacks(kxy, build, message):
+    with pytest.raises(ValueError) as caught:
+        build(kxy)
+    assert str(caught.value) == message
 
 
 def test_ring_context_and_ideal_take_lists(kxy):
