@@ -14,6 +14,7 @@ from .closure import (
 from .decomposition import (
     IrreducibleComponent,
     MonomialPrime,
+    ass_witnesses,
     associated_primes,
     dimension,
     irreducible_decomposition,

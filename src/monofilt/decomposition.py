@@ -2,15 +2,19 @@
 
 Every associated prime of a monomial quotient is generated by a subset of the
 variables, so primes are represented by their variable support alone.  The
-associated primes come from one scan of the corner grid of the generators,
-which finds the grlex-least witness w with (J : w) prime for every prime
-support at once.  The irreducible components come from the same grid: by
-Alexander duality they are its points w with (J : w) prime that sit at the
-top of every axis off the prime's support.  Both scans decide each cell
-from the generator bitmasks of :func:`~monofilt.ring.corner_masks`, built
-once per scan, and both walk the grid by :func:`_prime_cells`, which leaves
-out the cells inside the ideal.  The greedy filtration seeds its witness
-frontier from the same walk.
+associated primes come by restriction: P_S is associated exactly when J with
+the variables outside S set to 1 (:func:`~monofilt.ring.restriction`) has a
+torsion cell on its staircase (:func:`~monofilt.ring.torsion_cells`), the
+test that :func:`~monofilt.epsilon.h0_length` shares.  Witnesses come from
+:func:`ass_witnesses`, one scan of the corner grid of the generators, which
+finds the grlex-least witness w with (J : w) prime for every prime support
+at once.  The irreducible components come from the same grid: by Alexander
+duality they are its points w with (J : w) prime that sit at the top of
+every axis off the prime's support.  Both scans decide each cell from the
+generator bitmasks of :func:`~monofilt.ring.corner_masks`, built once per
+scan, and both walk the grid by :func:`_prime_cells`, which leaves out the
+cells inside the ideal.  The greedy filtration seeds its witness frontier
+from the same walk.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .ring import (
     corner_masks,
     grlex_key,
     ideal,
+    restriction,
+    torsion_cells,
 )
 
 
@@ -212,7 +218,44 @@ def check_nonzero_module(J: MonomialIdeal) -> None:
         raise DegenerateIdealError("R/J is the zero module")
 
 
-def associated_primes(J: MonomialIdeal) -> dict:
+def associated_primes(J: MonomialIdeal) -> tuple:
+    """Associated primes of R/J, sorted by support.
+
+    P_S lies in Ass(R/J) exactly when the maximal ideal m_S of the variables
+    in S is associated to R_S/J_S, where J_S is J with every variable
+    outside S set to 1 (:func:`~monofilt.ring.restriction`): localizing at
+    P_S inverts those variables.  That holds exactly when R_S/J_S has torsion
+    at m_S, that is when J_S has a cell of
+    :func:`~monofilt.ring.torsion_cells`, the test that
+    :func:`~monofilt.epsilon.h0_length` sums over.
+
+    - (=>) If J : w = P_S, then w_S lies outside J_S and m_S * w_S lies
+      inside J_S.
+    - (<=) A torsion monomial has a multiple v outside J_S with J_S : v = m_S.
+      Raise each coordinate outside S to the largest generator exponent, and
+      the result is a witness in R.
+
+    No cell is needed when J_S is the unit ideal (P_S does not contain J),
+    when a variable of S occurs in no generator of J_S (it is a
+    nonzerodivisor on R_S/J_S), or when S is one variable and J_S is proper.
+    The witnesses themselves come from :func:`ass_witnesses`.
+    """
+    check_nonzero_module(J)
+    if J.is_zero():
+        return (MonomialPrime(()),)
+    d = J.ctx.num_vars
+    found = []
+    for size in range(1, d + 1):
+        for supp in combinations(range(d), size):
+            gens = restriction(J.generators, supp)
+            if gens is None or not all(map(any, zip(*gens))):
+                continue
+            if size == 1 or next(torsion_cells(gens, size), None) is not None:
+                found.append(MonomialPrime(supp))
+    return tuple(sorted(found))
+
+
+def ass_witnesses(J: MonomialIdeal) -> dict:
     """Associated primes of R/J with witness monomials, as a prime -> witness map.
 
     The primes are the prime colons (J : w), sorted by support; each witness
@@ -224,7 +267,7 @@ def associated_primes(J: MonomialIdeal) -> dict:
 
 
 def minimal_primes(J: MonomialIdeal) -> tuple:
-    primes = list(associated_primes(J))  # already in prime order
+    primes = associated_primes(J)  # already in prime order
     return tuple(p for p in primes if not any(q != p and p.contains_prime(q) for q in primes))
 
 

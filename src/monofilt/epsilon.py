@@ -13,7 +13,7 @@ import math
 from itertools import product as _cartesian  # noqa: F401  bench/tracer.py counts cells through it
 
 from .decomposition import MonomialPrime, check_nonzero_module
-from .ring import MonomialIdeal, Record, staircase
+from .ring import MonomialIdeal, Record, torsion_cells
 from .superficial import TermSystem, check_counts, check_filters_powers, powers_of
 
 
@@ -26,14 +26,16 @@ def h0_length(J: MonomialIdeal) -> int:
     over the first d - 1 variables, the last variable asks for a generator
     that exceeds the cell on no leading axis and w on the last one: t < top.
     A leading axis i asks for a generator that exceeds the cell on axis i
-    alone and not w on the last axis: t >= floor.  So each cell holds
-    top - floor torsion monomials above each of its points, when both are
+    alone and not w on the last axis: t >= floor.  So a cell holds
+    top - floor torsion monomials above each of its points when both are
     set and top > floor; outside every cell some leading exponent reaches
-    the generator box, where no generator exceeds w on that axis.
+    the generator box, where no generator exceeds w on that axis.  That
+    predicate is :func:`~monofilt.ring.torsion_cells`, which this sums over
+    and :func:`~monofilt.decomposition.associated_primes` asks for one cell
+    of, on each restriction of J.
     """
     check_nonzero_module(J)
-    cells = staircase(J.generators, J.ctx.num_vars)
-    return sum(v * (top - floor) for v, top, floor in cells if None not in (top, floor) and top > floor)
+    return sum(v * depth for v, depth in torsion_cells(J.generators, J.ctx.num_vars))
 
 
 class EpsilonEstimate(Record):

@@ -200,7 +200,7 @@ class PowerRecord(Record):
     @property
     def ass(self) -> tuple:
         """Ass(R/T(n)), computed on the first read and kept by the sweep's term system."""
-        return tuple(self.terms.memo(associated_primes, self.n))
+        return self.terms.memo(associated_primes, self.n)
 
 
 class PowersReport(Record):
@@ -461,7 +461,7 @@ def ass_stability(
     """
     check_counts(n_max=n_max, window=window)
     ts = terms_of(source)
-    per_n = [(n, tuple(ts.memo(associated_primes, n))) for n in range(1, n_max + 1)]
+    per_n = [(n, ts.memo(associated_primes, n)) for n in range(1, n_max + 1)]
     union = sorted({p for _, primes in per_n for p in primes})
     onset = detect_stabilization([primes for _, primes in per_n], window, 0).get("onset")
     return AssStabilityReport(

@@ -169,6 +169,8 @@ class RingContext(Record):
         for name, value in exponents.items():
             if name not in self.variable_names:
                 raise ValueError(f"unknown variable name '{name}'")
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"the exponent of '{name}' must be a nonnegative integer, got {value!r}")
             e[self.variable_names.index(name)] = value
         return tuple(e)
 
@@ -305,6 +307,7 @@ class MonomialIdeal(Record):
         return tuple(max(g[i] for g in self.generators) for i in range(d))
 
     def contains(self, w: Monomial) -> bool:
+        w = _checked(w, self.ctx.num_vars)
         return any(mono_divides(g, w) for g in self.generators)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
@@ -501,6 +504,37 @@ def staircase(gens, d: int):
         floors = [least(col[lo] & once) for col, (lo, _) in zip(above, cell)]
         floor = None if None in floors else max(floors, default=0)
         yield volume, least(full & ~(once | twice)), floor
+
+
+def torsion_cells(gens, d: int):
+    """The cells of :func:`staircase` that hold torsion: ``(volume, depth)`` per cell.
+
+    A cell holds monomials of sat(J)/J, J's torsion at the maximal ideal,
+    exactly when its ``top`` and ``floor`` are both set and ``top > floor``;
+    above each of its ``volume`` points it then holds ``depth`` = top - floor
+    of them.  The length of sat(J)/J is the sum of volume * depth, and sat(J)
+    differs from J exactly when one such cell exists.
+    """
+    for volume, top, floor in staircase(gens, d):
+        if top is not None and floor is not None and top > floor:
+            yield volume, top - floor
+
+
+def restriction(gens, support: tuple) -> "tuple | None":
+    """Minimal generators of J_S, the ideal J with every variable outside S set to 1.
+
+    ``gens`` is the antichain of J and ``support`` lists S in increasing
+    order; J_S lives in the variables of S alone, in that order, and is
+    returned grlex-sorted, so J itself when S holds every variable.  None
+    when J_S is the unit ideal, that is when some generator of J has no
+    variable in S.
+    """
+    projected = set(zip(*[map(itemgetter(i), gens) for i in support]))
+    if (0,) * len(support) in projected:
+        return None
+    if gens and len(support) == len(gens[0]):
+        return tuple(gens)
+    return _canonical(projected)
 
 
 # -- parsing ----------------------------------------------------------------

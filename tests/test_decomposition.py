@@ -10,6 +10,7 @@ from monofilt import (
     InfeasibleError,
     IrreducibleComponent,
     MonomialPrime,
+    ass_witnesses,
     associated_primes,
     context,
     dimension,
@@ -74,7 +75,7 @@ def test_decomposition_rejects_degenerate(kxy):
 
 def test_associated_primes_with_witnesses(kxy):
     J = parse_ideal("x^2, x*y", kxy)
-    witnesses = associated_primes(J)
+    witnesses = ass_witnesses(J)
     assert {p.support for p in witnesses} == {(0,), (0, 1)}
     for prime, w in witnesses.items():
         assert not J.contains(w)
@@ -304,7 +305,7 @@ def test_ass_scan_skips_cells_inside_the_ideal(kxy, monkeypatch):
     monkeypatch.setattr(
         decomposition, "colon_prime_support", lambda masks, w: scanned.append(w) or original(masks, w)
     )
-    assert associated_primes(J) == {MonomialPrime((0, 1)): (17, 2)}
+    assert ass_witnesses(J) == {MonomialPrime((0, 1)): (17, 2)}
     assert 0 < len(scanned) < cells
     assert not any(oracles.member(J, w) for w in scanned)
 
@@ -319,14 +320,57 @@ def test_ass_matches_box_oracle(pair):
 def test_witnesses_are_grlex_least_in_box(pair):
     ctx, J = pair
     expected = {MonomialPrime(s): w for s, w in oracles.box_witnesses(J).items()}
-    assert associated_primes(J) == expected
+    assert ass_witnesses(J) == expected
 
 
 @given(proper_ideals())
 def test_witnesses_are_exact(pair):
     ctx, J = pair
-    for prime, w in associated_primes(J).items():
+    for prime, w in ass_witnesses(J).items():
         assert J.colon(w) == prime.as_ideal(ctx)
+
+
+@given(proper_ideals(max_vars=4, max_gens=6, max_exp=4))
+def test_ass_by_restriction_matches_witness_scan_and_box(pair):
+    ctx, J = pair
+    primes = associated_primes(J)
+    assert primes == tuple(ass_witnesses(J))
+    assert {p.support for p in primes} == oracles.ass_primes_box(J)
+
+
+@pytest.mark.parametrize(
+    "names, text, supports",
+    [
+        (("x",), "x^3", [(0,)]),
+        (("x", "y"), "x^3*y, x^2*y^2", [(0,), (0, 1), (1,)]),  # gcd x^2*y: embedded (x, y)
+        (("x", "y", "z"), "x^2, x*y", [(0,), (0, 1)]),  # z occurs in no generator
+        (("x", "y", "z"), "x*z, y*z", [(0, 1), (2,)]),
+        (("x", "y"), "x^2, x*y, y^3", [(0, 1)]),
+        (("x", "y", "z"), "x^2, x*z, y*z", [(0, 1), (0, 2)]),  # a cell with top = floor
+    ],
+)
+def test_ass_by_restriction_explicit(names, text, supports):
+    J = parse_ideal(text, context(*names))
+    primes = associated_primes(J)
+    assert [p.support for p in primes] == supports
+    assert primes == tuple(ass_witnesses(J))
+
+
+def test_ass_of_the_zero_ideal(kxy):
+    assert associated_primes(zero_ideal(kxy)) == (MonomialPrime(()),)
+    assert associated_primes(zero_ideal(context("x"))) == (MonomialPrime(()),)
+
+
+def test_ass_by_restriction_scans_no_grid_cell(kxyz, monkeypatch):
+    scanned = []
+    original = decomposition.colon_prime_support
+    monkeypatch.setattr(
+        decomposition, "colon_prime_support", lambda masks, w: scanned.append(w) or original(masks, w)
+    )
+    for text in ("x^3, y^3, z^3", "x^2*y, x*y^2*z, z^4", "x*z, y*z"):
+        J = parse_ideal(text, kxyz) ** 3
+        assert associated_primes(J)
+    assert scanned == []
 
 
 @given(proper_ideals())

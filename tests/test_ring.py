@@ -113,6 +113,13 @@ def test_monomial_and_variable_refuse_what_the_ring_lacks(kxy, build, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("value", [1.5, -1, "2", None], ids=["fraction", "negative", "text", "none"])
+def test_monomial_refuses_exponents_that_are_not_nonnegative_integers(kxy, value):
+    with pytest.raises(ValueError) as caught:
+        kxy.monomial(x=1, y=value)
+    assert str(caught.value) == f"the exponent of 'y' must be a nonnegative integer, got {value!r}"
+
+
 def test_ring_context_and_ideal_take_lists(kxy):
     assert ring.RingContext(["x", "y"]) == kxy
     assert ring.MonomialIdeal(kxy, [(1, 0)]) == parse_ideal("x", kxy)
@@ -180,6 +187,20 @@ def test_monomial_operand_is_checked(kxy, w):
         A.colon_monomial(w)
     with pytest.raises(ValueError):
         A.add_monomial(w)
+
+
+@pytest.mark.parametrize("w", [(1.5, 0), (1,), (1, 0, 0), (-1, 0), (0, "1")])
+def test_contains_checks_its_operand(kxy, w):
+    with pytest.raises(ValueError):
+        parse_ideal("x", kxy).contains(w)
+
+
+def test_restriction_sets_the_other_variables_to_one():
+    J = parse_ideal("x^2*z, x*y*z^3, y^4", context("x", "y", "z"))
+    assert ring.restriction(J.generators, (0, 2)) is None  # y^4 becomes 1
+    assert ring.restriction(J.generators, (0, 1)) == ((2, 0), (1, 1), (0, 4))
+    assert ring.restriction(J.generators, (1, 2)) == ((0, 1), (4, 0))  # x*y*z^3 is no longer minimal
+    assert ring.restriction((), (0, 1)) == ()
 
 
 BINARY_OPERATIONS = {
