@@ -283,6 +283,16 @@ def glue(
         raise GluePreconditionError(
             f"colon({base}, {base.ctx.monomial_str(multiplier)}) != {left.base}"
         )
+    return _splice(base, multiplier, left, right)
+
+
+def _splice(
+    base: MonomialIdeal, multiplier: Monomial, left: PrimeFiltration, right: PrimeFiltration
+) -> PrimeFiltration:
+    # glue without its colon check, for a caller that has just compared
+    # (B : w) with left.base itself: the filtration engine, whose recheck of
+    # the colon identity at a splice is that comparison.  The right base is
+    # still checked.
     if base.add_monomial(multiplier) != right.base:
         raise GluePreconditionError(
             "right filtration base must be the chain ideal plus the multiplier"

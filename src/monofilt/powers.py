@@ -8,7 +8,10 @@ exactly.  The element comes from one certificate scan: among the candidates
 whose colon identity (T(n) + J) : x = (J : x) + T(n - m) holds on a suffix of
 the verified range, the first superficial one, and failing that the first one
 as a splice certificate, which verifies only what the splice needs.  Either
-way that identity is rechecked exactly at every use.
+way that identity is rechecked exactly at every use, and the recheck's colon
+(T(n) + J) : x, compared there with the left child's base, is the one the
+splice needs: it is computed once per splice, not again when the splice is
+lifted.
 
 The traversal terminates.  One work stack builds the splice graph below a
 key (J, n), and records a key only after both its children: (J : x, n - m)
@@ -44,7 +47,7 @@ from collections import Counter
 
 from .decomposition import associated_primes
 from .errors import CertificateError
-from .filtration import PrimeFiltration, glue, naive_prime_filtration, validate
+from .filtration import PrimeFiltration, _splice, glue, naive_prime_filtration, validate
 from .ring import Monomial, MonomialIdeal, Record, RingContext, ideal, zero_ideal
 from .superficial import (
     ORDER_MAX,
@@ -81,7 +84,10 @@ class FiltrationEngine:
     the levels reachable from the key asked for, in post-order: a splice's
     left subtree, then its right, then the splice.  :meth:`_plan` decides a
     level and writes nothing but the certificate memo; :meth:`_record`
-    writes its one record.
+    writes its one record.  A splice's colon (T(n) + J) : x is computed
+    once, by the recheck in :meth:`_plan`; :meth:`_record` lifts the splice
+    through ``filtration._splice``, which checks only the right child's
+    base, where ``glue`` would compute the colon again.
     """
 
     def __init__(
@@ -166,7 +172,9 @@ class FiltrationEngine:
         if splice is not None:
             left, left_fb = self._levels[splice["left"]][:2]
             right, right_fb = self._levels[splice["right"]][:2]
-            filtration, fell_back = glue(base, splice["multiplier"], left, right), left_fb or right_fb
+            # _plan's recheck compared (T(n) + J) : x with the left child's base.
+            filtration = _splice(base, splice["multiplier"], left, right)
+            fell_back = left_fb or right_fb
         else:
             # Unit leaves, stationary leaves (base == J) and fallbacks share one filtration per base.
             # Unshared, theorem-sweep's job list ran slower in 8 of 10 pairs, its best time +13 %.

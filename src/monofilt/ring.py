@@ -250,13 +250,29 @@ def _merge(A: tuple, B: tuple) -> tuple:
         else:
             added.append(b)
     kept += added
-    kept.sort(key=grlex_key)
+    _grlex_sort(kept)
     return tuple(kept)
 
 
+def _grlex_sort(distinct: list) -> None:
+    # Sorts distinct monomials in place into the order of grlex_key with two
+    # C-level sorts, not one Python key call per monomial: descending tuples
+    # put higher exponents on earlier variables first, and the stable sort
+    # by degree keeps that order within each degree.
+    distinct.sort(reverse=True)
+    distinct.sort(key=sum)
+
+
 def _canonical(gens: Iterable[Monomial]) -> tuple:
-    """Minimal generators of monomials already known to fit the ring, grlex-sorted."""
-    return _prune(sorted(set(gens), key=grlex_key))
+    """Minimal generators of monomials already known to fit the ring, grlex-sorted.
+
+    The distinct monomials are ordered by two stable sorts, descending and
+    then by degree, which on distinct monomials is the order of
+    :func:`grlex_key`, and pruned by :func:`_prune`.
+    """
+    ordered = list(set(gens))
+    _grlex_sort(ordered)
+    return _prune(ordered)
 
 
 def minimal_generators(ctx: RingContext, gens: Iterable[Monomial]) -> tuple:

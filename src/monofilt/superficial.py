@@ -61,10 +61,14 @@ In the distributive lattice of monomial ideals D(c, n) is A(n) and B(n):
 
 T descends, so A(verify_to) implies A(n) for n <= verify_to; where the
 identity at n + m is known, T(n + m) : x lies in (J : x) + T(n) and B(n)
-follows from A(n).  So the search checks A(verify_to), a containment of the
-same form, and D(c, n) only at the levels c <= n <= verify_to whose
-identity at n + m is not known.  No shortcut enters a filtration: the
-engine rechecks the identity at each level it splices, and every level is
+follows from A(n).  So the search checks A(verify_to), and D(c, n) only at
+the levels c <= n <= verify_to whose identity at n + m is not known.  A is
+decided lcm by lcm, like D(c, n), but a monomial lies in T(verify_to) + J
+exactly when it lies in J or in T(verify_to), and membership in a term is
+decided by the walk of ``_lies_in_term`` over products of generators of I:
+T(verify_to) is never built, and when J : x is zero, as at the root J = 0,
+there is no lcm to test.  No shortcut enters a filtration: the engine
+rechecks the identity at each level it splices, and every level is
 validated.
 """
 
@@ -157,9 +161,10 @@ class TermSystem:
     J : x, which the threshold scan reads at every level it checks; and the
     per-level values read through :meth:`memo`, which two sweeps of one
     command share.  The colons (T(n) + J) : x are not kept: each is read
-    by one comparison, and few are asked for twice.  Every analysis builds
-    or receives a term system, so this is where a zero or unit ideal is
-    refused.
+    by one comparison, and few are asked for twice; the engine reads each
+    once per splice, in its recheck, and lifts the splice without a second
+    colon.  Every analysis builds or receives a term system, so this is
+    where a zero or unit ideal is refused.
     """
 
     def __init__(self, I: MonomialIdeal):
@@ -247,10 +252,11 @@ def check_filters_powers(ts: TermSystem, filtrations: dict, levels) -> None:
             raise ValueError(f"the filtrations do not filter R/I^{n}")
 
 
-def _meet_lies_in(A: MonomialIdeal, B: MonomialIdeal, C: MonomialIdeal) -> bool:
+def _meet_lies_in(A: MonomialIdeal, B: MonomialIdeal, inside) -> bool:
     # A meet B is generated by the lcms of the generator pairs, so it lies in
-    # C when each of them does; the scan stops at the first that does not.
-    return all(C.contains(mono_lcm(a, b)) for a in A.generators for b in B.generators)
+    # an ideal when each of them does, as the predicate ``inside`` tells; the
+    # scan stops at the first that does not.
+    return all(inside(mono_lcm(a, b)) for a in A.generators for b in B.generators)
 
 
 def _defining_condition_holds(
@@ -258,7 +264,19 @@ def _defining_condition_holds(
 ) -> bool:
     # D(c, n) in its containment form (module docstring).
     colon = ts.term_plus(J, n + m).colon_monomial(x)
-    return _meet_lies_in(colon, ts.term_plus(J, c), ts.term_plus(J, n))
+    return _meet_lies_in(colon, ts.term_plus(J, c), ts.term_plus(J, n).contains)
+
+
+def _annihilator_condition_holds(
+    ts: TermSystem, J: MonomialIdeal, x: Monomial, c: int, n: int
+) -> bool:
+    # A(n): (J : x) meet (T(c) + J) lies in T(n) + J.  A monomial lies there
+    # when it lies in J or in T(n), so each lcm is tested by membership and
+    # T(n) is not built; with J = 0 there is no lcm to test.
+    def inside(l: Monomial) -> bool:
+        return J.contains(l) or _lies_in_term(ts, l, n)
+
+    return _meet_lies_in(ts.annihilator_colon(J, x), ts.term_plus(J, c), inside)
 
 
 def _superficial_to(
@@ -268,8 +286,7 @@ def _superficial_to(
     # then D(c, n) at each level n whose colon identity at n + m is not known
     # (module docstring).
     known_to = math.inf if max(ts.rees_level(x), m) <= verify_to else verify_to
-    cut = ts.term_plus(J, c)
-    return _meet_lies_in(ts.annihilator_colon(J, x), cut, ts.term_plus(J, verify_to)) and all(
+    return _annihilator_condition_holds(ts, J, x, c, verify_to) and all(
         _defining_condition_holds(ts, J, x, m, c, n)
         for n in range(c, verify_to + 1)
         if not threshold <= n + m <= known_to

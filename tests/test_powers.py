@@ -26,9 +26,9 @@ from monofilt import (
     zero_ideal,
 )
 from monofilt import powers
-from monofilt.filtration import PrimeFiltration
+from monofilt.filtration import PrimeFiltration, glue
 from monofilt.powers import detect_stabilization, filtration_digest, fit_growth_exponent
-from monofilt.ring import unit_ideal
+from monofilt.ring import MonomialIdeal, unit_ideal
 
 import oracles
 
@@ -208,6 +208,33 @@ def test_glue_recurrence_on_engine(kxy):
         engine.filtration(n)
     assert engine.glue_nodes
     assert_ledgers_add(engine)
+
+
+def test_engine_computes_one_colon_per_splice(monkeypatch, kxy):
+    # The recheck of the colon identity at a splice computes (T(n) + J) : x
+    # and compares it with the left child's base; the engine's lift does not
+    # compute it again, where glue's precondition would.
+    calls = Counter()
+    colon_monomial = MonomialIdeal.colon_monomial
+
+    def counted(ideal_, w):
+        calls["colon"] += 1
+        return colon_monomial(ideal_, w)
+
+    monkeypatch.setattr(MonomialIdeal, "colon_monomial", counted)
+    I = parse_ideal("x^3, y^3", kxy)
+    report = powers_report(I, 9)
+    lifted = calls.pop("colon")
+    monkeypatch.setattr(powers, "_splice", glue)
+    glued = powers_report(I, 9)
+    assert glued.filtrations == report.filtrations
+    assert calls["colon"] - lifted == len(report.engine.glue_nodes) > 0
+    engine = report.engine
+    for (J, n), node in engine.glue_nodes.items():
+        left, _ = engine.filtration(node["left"][1], node["left"][0])
+        right, _ = engine.filtration(node["right"][1], node["right"][0])
+        base = engine.ts.term_plus(J, n)
+        assert engine.filtration(n, J)[0] == glue(base, node["multiplier"], left, right)
 
 
 def test_ass_stability_mixed(kxy):

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 from monofilt import context, ideal
 from monofilt.ring import (
     _canonical,
+    _grlex_sort,
     grlex_key,
     minimal_generators,
     mono_colon,
@@ -226,13 +227,26 @@ def raw_generators(draw, max_vars=4, max_gens=12, max_exp=2):
     return d, draw(st.lists(exps, max_size=max_gens))
 
 
+# Every monomial of degree 2 in 4 variables: ten of one degree, repeated below.
+_DEGREE_TWO_LAYER = [e for e in oracles.box_points((2,) * 4) if sum(e) == 2]
+
+
 @given(raw_generators())
+@example((4, _DEGREE_TWO_LAYER * 2))
+@example((4, _DEGREE_TWO_LAYER + [(1, 0, 0, 0), (0, 0, 0, 3), (0, 0, 0, 3)]))
+@example((1, [(2,), (0,), (2,), (1,)]))
 def test_minimal_generators_match_reference(raw):
+    # _canonical orders by two stable sorts, not by grlex_key: on distinct
+    # monomials both give one order, which the reference's sort pins.
     d, gens = raw
     ctx = context(*("x", "y", "z", "w")[:d])
     expected = oracles.reference_minimal_generators(d, gens)
+    assert list(expected) == sorted(expected, key=grlex_key)
     assert minimal_generators(ctx, gens) == expected
     assert _canonical(gens) == expected
+    distinct = list(set(gens))
+    _grlex_sort(distinct)
+    assert distinct == sorted(set(gens), key=grlex_key)
 
 
 @st.composite

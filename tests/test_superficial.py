@@ -375,6 +375,23 @@ def test_certificate_search_keeps_no_colon_of_a_sum(kxy):
     assert {key[0] for key in ts._memo} == {"sum", "annihilator colon"}
 
 
+@pytest.mark.parametrize(
+    "gens, annihilator, top",
+    [("x^3, y^3", "", 1), ("x^4, x*y, y^4", "y", 5)],
+)
+def test_certificate_search_builds_no_term_above_the_certificate(kxy, gens, annihilator, top):
+    # A(24) is decided lcm by lcm by membership in J or in T(24), so the
+    # search builds no term above the levels its certificate's threshold
+    # scan reads: max(D(x) + h, order), 1 at the root of (x^3, y^3), where
+    # J : x = 0 leaves no lcm to test, and 5 at J = (y) of (x^4, x*y, y^4).
+    ts = TermSystem(parse_ideal(gens, kxy))
+    J = parse_ideal(annihilator, kxy) if annihilator else zero_ideal(kxy)
+    cert = search_certificate(ts, J, 3, 24)
+    assert isinstance(cert, SuperficialCertificate)
+    assert max(ts.rees_level(cert.element), cert.order) == top
+    assert len(ts._terms) - 1 == top
+
+
 # Every certificate the engine asks for while sweeping the curated suite to
 # n = 12 (verified to 24): (annihilator, superficial element and c, or None,
 # first splice element).  Every order and colon threshold is 1.
@@ -615,6 +632,22 @@ def test_conditions_match_their_equality_forms(drawn, kind, m, n, data):
         fresh_sum = J.colon_monomial(x) + fresh.term(k - m)
         identity = (fresh.term(k) + J).colon_monomial(x) == fresh_sum
         assert superficial._colon_identity_holds(ts, J, x, m, k) == identity, k
+
+
+@given(_IDEAL_PAIRS, _TERM_KINDS, st.integers(0, 12), st.data())
+@settings(max_examples=120)
+def test_annihilator_condition_matches_the_built_term(drawn, kind, n, data):
+    # A(n), decided lcm by lcm by membership in J or in T(n), agrees with
+    # the containment of the built meet in the built T(n) + J of a second
+    # system, and leaves no term above T(c) and the head built.
+    I, J = _pair(drawn)
+    ts, fresh = kind(I), kind(I)
+    x = data.draw(st.tuples(*[st.integers(0, 3)] * I.ctx.num_vars))
+    c = data.draw(st.integers(0, min(n, C_MAX)))
+    meet = J.colon_monomial(x).intersect(fresh.term_plus(J, c))
+    held = superficial._annihilator_condition_holds(ts, J, x, c, n)
+    assert held == fresh.term_plus(J, n).contains_ideal(meet)
+    assert len(ts._terms) <= max(c + 1, ts._head)
 
 
 def test_rees_level_is_tight(kxy):
